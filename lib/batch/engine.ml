@@ -1,11 +1,5 @@
 let default_chunk = 65536
 
-(* The OCaml runtime refuses to allocate more than ~128 live domains;
-   requests beyond this clamp rather than crash.  Safe because the
-   chunk grid — and therefore the output — never depends on [jobs]. *)
-let max_jobs = 64
-let clamp_jobs jobs = if jobs > max_jobs then max_jobs else jobs
-
 (* The scan runs only when a row may have changed since the last
    successful validation ([Columns.dirty]); evaluating the same columns
    repeatedly — several models over one grid, bisection over rates —
@@ -20,7 +14,6 @@ let scan_or_raise (c : Columns.t) =
 let run_into ?(jobs = 1) ?(chunk = default_chunk) kernel (c : Columns.t) out =
   if jobs < 1 then invalid_arg "Batch.Engine.run_into: jobs must be >= 1";
   if chunk < 1 then invalid_arg "Batch.Engine.run_into: chunk must be >= 1";
-  let jobs = clamp_jobs jobs in
   if Float.Array.length out < c.Columns.n then
     invalid_arg "Batch.Engine.run_into: output array too short";
   scan_or_raise c;
@@ -56,7 +49,6 @@ let loss_budget_into ?(jobs = 1) ?(chunk = default_chunk) ~b (c : Columns.t)
     ~rates out =
   if jobs < 1 then invalid_arg "Batch.Engine.loss_budget_into: jobs must be >= 1";
   if chunk < 1 then invalid_arg "Batch.Engine.loss_budget_into: chunk must be >= 1";
-  let jobs = clamp_jobs jobs in
   if b < 1 then invalid_arg "Batch.Engine.loss_budget_into: b must be >= 1";
   let n = c.Columns.n in
   if Float.Array.length rates < n then

@@ -1,16 +1,17 @@
 (** The scanned front door to the batch kernels: validate whole columns
     once ({!Scan.validate}), then run the guard-free loops, optionally
-    fanned over the domain pool in contiguous chunks.
+    fanned over domains ({!Pftk_parallel}) in contiguous chunks.
 
     Determinism contract: the chunk grid depends only on [chunk] (never
     on [jobs]) and each chunk writes a disjoint output slice of a pure
     per-row function, so every [jobs] value — including [jobs] larger
     than the row count — produces byte-identical output
-    (property-tested in [test_batch]).  [jobs] beyond 64 clamp (the
-    runtime caps live domains); the clamp cannot change the output. *)
+    (property-tested in [test_batch]).  [jobs] beyond the runtime's
+    live-domain cap is capped by {!Pftk_parallel}, which cannot change
+    the output either. *)
 
 val default_chunk : int
-(** 65536 rows (2 MiB of columns): small enough to balance the pool,
+(** 65536 rows (2 MiB of columns): small enough to balance the domains,
     large enough to amortize task dispatch. *)
 
 val run_into :

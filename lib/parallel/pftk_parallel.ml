@@ -1,135 +1,45 @@
 let default_jobs () = Domain.recommended_domain_count ()
 
-module Pool = struct
-  type t = {
-    mutex : Mutex.t;
-    work_ready : Condition.t;
-    work_done : Condition.t;
-    mutable queue : (unit -> unit) list;
-    mutable pending : int;  (** Tasks queued or currently running. *)
-    mutable stopping : bool;
-    mutable workers : unit Domain.t list;
-  }
-
-  (* Workers pull tasks until the queue is empty AND the pool is stopping;
-     a stopping pool still drains whatever was submitted before shutdown. *)
-  let rec worker_loop pool =
-    Mutex.lock pool.mutex;
-    let rec take () =
-      match pool.queue with
-      | task :: rest ->
-          pool.queue <- rest;
-          Some task
-      | [] ->
-          if pool.stopping then None
-          else begin
-            Condition.wait pool.work_ready pool.mutex;
-            take ()
-          end
-    in
-    let task = take () in
-    Mutex.unlock pool.mutex;
-    match task with
-    | None -> ()
-    | Some task ->
-        task ();
-        Mutex.lock pool.mutex;
-        pool.pending <- pool.pending - 1;
-        if pool.pending = 0 then Condition.broadcast pool.work_done;
-        Mutex.unlock pool.mutex;
-        worker_loop pool
-
-  let create ~size =
-    if size < 1 then invalid_arg "Pftk_parallel.Pool.create: size must be >= 1";
-    let pool =
-      {
-        mutex = Mutex.create ();
-        work_ready = Condition.create ();
-        work_done = Condition.create ();
-        queue = [];
-        pending = 0;
-        stopping = false;
-        workers = [];
-      }
-    in
-    pool.workers <-
-      List.init size (fun _ -> Domain.spawn (fun () -> worker_loop pool));
-    pool
-
-  let submit pool task =
-    Mutex.lock pool.mutex;
-    if pool.stopping then begin
-      Mutex.unlock pool.mutex;
-      invalid_arg "Pftk_parallel.Pool.submit: pool is shut down"
-    end;
-    pool.queue <- pool.queue @ [ task ];
-    pool.pending <- pool.pending + 1;
-    Condition.signal pool.work_ready;
-    Mutex.unlock pool.mutex
-
-  let wait pool =
-    Mutex.lock pool.mutex;
-    while pool.pending > 0 do
-      Condition.wait pool.work_done pool.mutex
-    done;
-    Mutex.unlock pool.mutex
-
-  let shutdown pool =
-    Mutex.lock pool.mutex;
-    pool.stopping <- true;
-    Condition.broadcast pool.work_ready;
-    Mutex.unlock pool.mutex;
-    List.iter Domain.join pool.workers;
-    pool.workers <- []
-end
-
-(* Run [body 0 .. body (n-1)] on a pool of [jobs] domains.  On failure the
-   first observed exception is kept, unstarted jobs become no-ops, and the
-   exception is re-raised here once every worker has finished. *)
+(* Run [body 0 .. body (n-1)] on the calling domain and up to [jobs - 1]
+   helper domains spawned for this call, every domain claiming the next
+   index from one shared counter.  The caller works rather than waits, so
+   the call runs on at most [jobs] domains.  A helper the runtime refuses
+   to spawn (its live-domain cap) is not started, and the domains that are
+   running take its share.  On failure the first observed exception is kept, no domain
+   claims another index, and the exception is re-raised here once every
+   helper has been joined. *)
 let run ~jobs n body =
-  if n > 0 then begin
-    let failure = Atomic.make None in
-    let pool = Pool.create ~size:(min jobs n) in
-    (* The worker closure shares [failure] across domains by design:
-       it is the pool's own first-error slot, written only through a
-       compare-and-set and read back only after [Pool.wait].  This is
-       the synchronization R1 exists to police, not a leak past it. *)
-    for i = 0 to n - 1 do
-      Pool.submit pool
-        ((fun () ->
-           if Atomic.get failure = None then
-             try body i
-             with exn ->
-               let bt = Printexc.get_raw_backtrace () in
-               ignore (Atomic.compare_and_set failure None (Some (exn, bt))))
-        [@lint.allow "R1"])
-    done;
-    Pool.wait pool;
-    Pool.shutdown pool;
-    match Atomic.get failure with
-    | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-    | None -> ()
-  end
+  let next = Atomic.make 0 in
+  let failure = Atomic.make None in
+  let rec work () =
+    if Option.is_none (Atomic.get failure) then begin
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (try body i
+         with exn ->
+           let bt = Printexc.get_raw_backtrace () in
+           ignore (Atomic.compare_and_set failure None (Some (exn, bt))));
+        work ()
+      end
+    end
+  in
+  let rec spawn helpers k =
+    if k <= 0 then helpers
+    else
+      match Domain.spawn work with
+      | helper -> spawn (helper :: helpers) (k - 1)
+      | exception Failure _ -> helpers
+  in
+  let helpers = spawn [] (Int.min jobs n - 1) in
+  work ();
+  List.iter Domain.join helpers;
+  match Atomic.get failure with
+  | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
+  | None -> ()
 
 let check_jobs name jobs =
   if jobs < 1 then
     invalid_arg (Printf.sprintf "Pftk_parallel.%s: jobs must be >= 1" name)
-
-let mapi ~jobs f xs =
-  check_jobs "mapi" jobs;
-  if jobs = 1 then List.mapi f xs
-  else begin
-    let items = Array.of_list xs in
-    let n = Array.length items in
-    let results = Array.make n None in
-    run ~jobs n (fun i -> results.(i) <- Some (f i items.(i)));
-    List.init n (fun i ->
-        match results.(i) with Some v -> v | None -> assert false)
-  end
-
-let map ~jobs f xs =
-  check_jobs "map" jobs;
-  if jobs = 1 then List.map f xs else mapi ~jobs (fun _ x -> f x) xs
 
 let init ~jobs n f =
   check_jobs "init" jobs;
@@ -140,3 +50,15 @@ let init ~jobs n f =
     run ~jobs n (fun i -> results.(i) <- Some (f i));
     Array.map (function Some v -> v | None -> assert false) results
   end
+
+let mapi ~jobs f xs =
+  check_jobs "mapi" jobs;
+  if jobs = 1 then List.mapi f xs
+  else begin
+    let items = Array.of_list xs in
+    Array.to_list (init ~jobs (Array.length items) (fun i -> f i items.(i)))
+  end
+
+let map ~jobs f xs =
+  check_jobs "map" jobs;
+  if jobs = 1 then List.map f xs else mapi ~jobs (fun _ x -> f x) xs

@@ -26,7 +26,7 @@ let catalog ~only =
 
 (* Everything one case produced: a verdict per selected invariant, plus a
    shrunk counterexample for each failure.  Workers return this by value,
-   so the closure passed to the pool captures only immutable config. *)
+   so the closure passed to the fan-out captures only immutable config. *)
 type case_outcome = {
   verdicts : (string * Invariant.verdict) list;
   case_failures : failure list;

@@ -1,5 +1,5 @@
 (** The harness driver: generate cases, run the invariant catalog over
-    them on the domain pool, shrink what fails, and report.
+    them in parallel ({!Pftk_parallel}), shrink what fails, and report.
 
     Determinism contract: a report is a pure function of [(cases, seed,
     only)].  Case [i] is generated from its own {!Gen.rng_for} stream and

@@ -1,6 +1,7 @@
-(* Tests for Pftk_parallel: ordering, exception propagation, the pool
-   primitive, and — the property everything else rests on — determinism of
-   the experiment generators under parallelism (jobs:1 vs jobs:4). *)
+(* Tests for Pftk_parallel: ordering, exception propagation, how many
+   domains a fan-out runs on, and — the property everything else rests on —
+   determinism of the experiment generators under parallelism (jobs:1 vs
+   jobs:4). *)
 
 open Pftk_parallel
 
@@ -68,7 +69,7 @@ let test_invalid_jobs () =
       ignore (init ~jobs:2 (-1) Fun.id))
 
 let test_jobs_exceed_items () =
-  (* More workers than work: [run] clamps the pool to [n] domains, so
+  (* More jobs than work: [run] spawns at most [n - 1] helpers, so
      oversubscribed calls must neither hang nor drop items. *)
   Alcotest.(check (list int))
     "map jobs:16 over 3 items" [ 2; 3; 4 ]
@@ -82,19 +83,50 @@ let test_jobs_exceed_items () =
   Alcotest.(check (array int)) "init jobs:8 over 0 slots" [||]
     (init ~jobs:8 0 Fun.id)
 
-let test_pool_direct () =
-  let pool = Pool.create ~size:3 in
-  let cells = Array.make 20 0 in
-  Array.iteri (fun i _ -> Pool.submit pool (fun () -> cells.(i) <- i + 1)) cells;
-  Pool.wait pool;
-  Pool.shutdown pool;
+(* More jobs than the runtime will run domains at once (its cap is 128 on
+   64-bit OCaml 5.1): helpers stop at whatever the cap is and the running
+   domains drain the rest, so the call neither fails nor drops items. *)
+let test_jobs_beyond_domain_cap () =
   Alcotest.(check (array int))
-    "every task ran exactly once"
-    (Array.init 20 (fun i -> i + 1))
-    cells;
-  Alcotest.check_raises "submit after shutdown rejected"
-    (Invalid_argument "Pftk_parallel.Pool.submit: pool is shut down")
-    (fun () -> Pool.submit pool (fun () -> ()))
+    "init jobs:200 over 300 items" (Array.init 300 Fun.id)
+    (init ~jobs:200 300 Fun.id)
+
+(* [jobs] counts the caller: a [jobs:2] fan-out runs on the calling domain
+   and one helper.  Items off the caller first wait until the caller has
+   run an item (or the process has spent 2 s more CPU time), so a caller
+   that only waits is caught instead of raced past. *)
+let test_jobs_counts_caller () =
+  let self () = (Domain.self () :> int) in
+  let caller = self () in
+  let caller_ran = Atomic.make false in
+  let deadline = Sys.time () +. 2. in
+  let record i =
+    let id = self () in
+    if id = caller then Atomic.set caller_ran true
+    else begin
+      while (not (Atomic.get caller_ran)) && Sys.time () < deadline do
+        Domain.cpu_relax ()
+      done
+    end;
+    ignore (busy_work i);
+    id
+  in
+  let ids = map ~jobs:2 record (List.init 50 Fun.id) in
+  Alcotest.(check bool) "the caller ran items" true (List.mem caller ids);
+  Alcotest.(check bool)
+    "at most two domains ran items" true
+    (List.length (List.sort_uniq Int.compare ids) <= 2);
+  Alcotest.(check (list int))
+    "one item runs on the caller alone" [ caller ]
+    (map ~jobs:2 (fun () -> self ()) [ () ])
+
+let test_nested_ordering () =
+  let inner i = List.init 7 (fun j -> (10 * i) + j) in
+  let items = List.init 9 Fun.id in
+  Alcotest.(check (list (list (pair int int))))
+    "jobs:2 inside jobs:2 keeps both orders"
+    (List.map (fun i -> List.map busy_work (inner i)) items)
+    (map ~jobs:2 (fun i -> map ~jobs:2 busy_work (inner i)) items)
 
 (* --- Determinism of the experiment fan-outs under parallelism ----------- *)
 
@@ -145,7 +177,9 @@ let () =
           case "exception propagation" test_exception_propagation;
           case "invalid arguments" test_invalid_jobs;
           case "jobs exceed items" test_jobs_exceed_items;
-          case "pool direct use" test_pool_direct;
+          case "jobs beyond the domain cap" test_jobs_beyond_domain_cap;
+          case "jobs counts the caller" test_jobs_counts_caller;
+          case "nested map ordering" test_nested_ordering;
         ] );
       ( "determinism",
         [

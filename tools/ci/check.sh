@@ -28,10 +28,13 @@
 #                             batch/scalar bit-equality
 #   7. dune build --profile release
 #                          -- the optimized build the benchmarks use
-#   8. batch smoke         -- timed bench-batch runs on the release
+#   8. --jobs identity     -- `pftk all --quick` on the release binary
+#                             must print byte-identical stdout at
+#                             --jobs 1 and --jobs 2 (every artifact)
+#   9. batch smoke         -- timed bench-batch runs on the release
 #                             binary asserting the batch engine's
 #                             speedup floors and bitwise equality
-#   9. meanfield smoke     -- the mean-field backend on the release
+#  10. meanfield smoke     -- the mean-field backend on the release
 #                             binary: a 100000-flow RED equilibrium
 #                             held to a sub-second solver budget, and
 #                             the quick netsim cross-validation
@@ -73,6 +76,24 @@ phase "pftk selfcheck (200 cases, seed 42)" \
   dune exec bin/pftk.exe -- selfcheck --cases 200 --seed 42
 
 phase "dune build --profile release" dune build --profile release
+
+# The determinism contract end to end: every artifact `pftk all` prints
+# (70 322 bytes with --quick, about 2 s for both runs on two cores) must
+# not depend on how many domains computed it.  On a mismatch both outputs
+# are kept for diffing.
+all_jobs_identity() {
+  _out=$(mktemp -d)
+  dune exec --profile release bin/pftk.exe -- all --quick --jobs 1 >"$_out/jobs1"
+  dune exec --profile release bin/pftk.exe -- all --quick --jobs 2 >"$_out/jobs2"
+  if ! cmp "$_out/jobs1" "$_out/jobs2"; then
+    say "pftk all stdout differs between --jobs 1 and 2; kept in $_out"
+    return 1
+  fi
+  rm -r "$_out"
+}
+
+phase "pftk all --quick: --jobs 1 and --jobs 2 byte-identical" \
+  all_jobs_identity
 
 # Speedup floors are deliberately below the measured steady-state values
 # (eq. (33): ~4.3x vs its own scalar, ~13x vs the scalar full model;
