@@ -1,4 +1,9 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** state words live in one 32-byte [Bytes.t], little
+   endian: s0 at offset 0, s1 at 8, s2 at 16, s3 at 24.  ocamlopt reads
+   and writes them with [Bytes.get/set_int64_le] as unboxed machine
+   words, so a draw allocates nothing, where four [mutable int64] record
+   fields box a fresh word on every store. *)
+type t = Bytes.t
 
 let default_seed = 0x9E3779B97F4A7C15L
 
@@ -14,27 +19,28 @@ let splitmix64 state =
 
 let create ?(seed = default_seed) () =
   let st = ref seed in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for word = 0 to 3 do
+    Bytes.set_int64_le t (8 * word) (splitmix64 st)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_le t 0 and s1 = Bytes.get_int64_le t 8 in
+  let s2 = Bytes.get_int64_le t 16 and s3 = Bytes.get_int64_le t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  Bytes.set_int64_le t 0 (logxor s0 s3);
+  Bytes.set_int64_le t 8 (logxor s1 s2);
+  Bytes.set_int64_le t 16 (logxor s2 (shift_left s1 17));
+  Bytes.set_int64_le t 24 (rotl s3 45);
   result
 
 let split t =
@@ -42,7 +48,7 @@ let split t =
   create ~seed ()
 
 (* Take the top 53 bits for a uniform double in [0, 1). *)
-let float t =
+let[@inline] float t =
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. 0x1.0p-53
 

@@ -91,6 +91,10 @@ type state = {
   to_by_backoff : int array;
 }
 
+(* Every call site tests [recording] first, so an unrecorded run builds
+   no event value. *)
+let recording state = Option.is_some state.recorder
+
 let record state kind =
   match state.recorder with
   | Some recorder -> Recorder.record recorder ~time:state.time kind
@@ -109,24 +113,25 @@ let rtt_sample state =
 let advance_round state =
   let r = rtt_sample state in
   state.time <- state.time +. r;
-  record state (Event.Rtt_sample { sample = r; srtt = r; rto = state.config.t0 })
+  if recording state then
+    record state (Event.Rtt_sample { sample = r; srtt = r; rto = state.config.t0 })
 
 (* Send [n] packets through the loss process; returns how many were
    delivered before the first loss ([n] when the round is loss-free). *)
 let send_round state ~retransmission n =
   Loss_process.new_round state.loss;
-  let first_loss = ref None in
+  let first_loss = ref n in
   for i = 0 to n - 1 do
     let seq = state.next_seq in
     state.next_seq <- state.next_seq + 1;
     state.sent <- state.sent + 1;
-    record state
-      (Event.Segment_sent
-         { seq; retransmission; cwnd = state.window; flight = n });
-    if Loss_process.drops state.loss && !first_loss = None then
-      first_loss := Some i
+    if recording state then
+      record state
+        (Event.Segment_sent
+           { seq; retransmission; cwnd = state.window; flight = n });
+    if Loss_process.drops state.loss && !first_loss = n then first_loss := i
   done;
-  match !first_loss with Some i -> i | None -> n
+  !first_loss
 
 let effective_window state =
   max 1 (min state.config.wm (int_of_float (Float.round state.window)))
@@ -166,12 +171,14 @@ let timeout_sequence state =
   let rec attempt n =
     let timer = c.t0 *. float_of_int (1 lsl min (n - 1) c.backoff_cap) in
     state.time <- state.time +. timer;
-    record state (Event.Timer_fired { backoff = n; rto = timer });
+    if recording state then
+      record state (Event.Timer_fired { backoff = n; rto = timer });
     Loss_process.new_round state.loss;
     state.sent <- state.sent + 1;
-    record state
-      (Event.Segment_sent
-         { seq = state.next_seq; retransmission = true; cwnd = 1.; flight = 1 });
+    if recording state then
+      record state
+        (Event.Segment_sent
+           { seq = state.next_seq; retransmission = true; cwnd = 1.; flight = 1 });
     state.next_seq <- state.next_seq + 1;
     if Loss_process.drops state.loss then attempt (n + 1)
     else begin
@@ -212,8 +219,9 @@ let run ?(seed = 7L) ?recorder ~duration ~loss config =
   in
   while state.time < duration do
     state.rounds <- state.rounds + 1;
-    record state
-      (Event.Round_started { index = state.rounds; window = state.window });
+    if recording state then
+      record state
+        (Event.Round_started { index = state.rounds; window = state.window });
     let w = effective_window state in
     let k = send_round state ~retransmission:false w in
     state.delivered <- state.delivered + k;
@@ -235,7 +243,8 @@ let run ?(seed = 7L) ?recorder ~duration ~loss config =
       in
       if m >= config.dup_ack_threshold then begin
         state.td_events <- state.td_events + 1;
-        record state (Event.Fast_retransmit_triggered { seq = state.next_seq });
+        if recording state then
+          record state (Event.Fast_retransmit_triggered { seq = state.next_seq });
         on_td state
       end
       else ignore (timeout_sequence state)

@@ -4,9 +4,17 @@ type indication =
 
 let indication_time = function Td { at } -> at | To { at; _ } -> at
 
+(* Every pass below is one walk of the recorder's packed buffer, reading
+   fields in place: no pass builds an [Event.t]. *)
+let buffered_length recorder =
+  if not (Recorder.is_buffered recorder) then
+    invalid_arg "Analyzer: recorder is unbuffered";
+  Recorder.length recorder
+
 (* --- Ground-truth mode ------------------------------------------------- *)
 
-let ground_truth_indications events =
+(* [on_rtt] receives the sender's own [Rtt_sample]s. *)
+let ground_truth_walk ~on_rtt recorder =
   let out = ref [] in
   let open_seq = ref None in
   let close () =
@@ -16,37 +24,72 @@ let ground_truth_indications events =
         open_seq := None
     | None -> ()
   in
-  Array.iter
-    (fun { Event.time; kind } ->
-      match kind with
-      | Event.Fast_retransmit_triggered _ ->
-          close ();
-          out := Td { at = time } :: !out
-      | Event.Timer_fired { backoff; rto } -> begin
-          match !open_seq with
-          | Some (at, count, first_timer) when backoff = count + 1 ->
-              open_seq := Some (at, count + 1, first_timer)
-          | _ ->
-              close ();
-              open_seq := Some (time, 1, rto)
-        end
-      | Event.Ack_received _ | Event.Segment_sent _ | Event.Rtt_sample _
-      | Event.Round_started _ | Event.Connection_closed ->
-          (* A backoff-1 firing after progress starts a new sequence; the
-             chain above keys on the backoff counter, so ordinary events
-             need no action here. *)
-          ())
-    events;
+  for i = 0 to buffered_length recorder - 1 do
+    match Recorder.tag recorder i with
+    | Fast_retransmit ->
+        close ();
+        out := Td { at = Recorder.time recorder i } :: !out
+    | Timeout -> begin
+        match !open_seq with
+        | Some (at, count, first_timer)
+          when Recorder.backoff recorder i = count + 1 ->
+            open_seq := Some (at, count + 1, first_timer)
+        | _ ->
+            close ();
+            open_seq := Some (Recorder.time recorder i, 1, Recorder.rto recorder i)
+      end
+    | Rtt -> on_rtt (Recorder.sample recorder i)
+    | Send | Ack | Round | Close ->
+        (* A backoff-1 firing after progress starts a new sequence; the
+           chain above keys on the backoff counter, so ordinary events
+           need no action here. *)
+        ()
+  done;
   close ();
   List.rev !out
 
+let ground_truth_indications recorder = ground_truth_walk ~on_rtt:ignore recorder
+
 (* --- Inference mode ----------------------------------------------------- *)
 
-let infer_indications ?(dup_ack_threshold = 3) ?(min_timeout_gap = 0.15) events =
+(* Karn matching: first-transmission send times by seq, the seqs ever
+   retransmitted, and the highest cumulative ACK so far. *)
+type karn = {
+  send_time : (int, float) Hashtbl.t;
+  tainted : (int, unit) Hashtbl.t;
+  mutable acked : int;
+  on_rtt : float -> unit;
+}
+
+let karn_send k ~seq ~retransmission time =
+  if retransmission then Hashtbl.replace k.tainted seq ()
+  else if not (Hashtbl.mem k.send_time seq) then Hashtbl.replace k.send_time seq time
+
+let karn_ack k ~ack time =
+  if ack > k.acked then begin
+    for seq = k.acked to ack - 1 do
+      (match Hashtbl.find_opt k.send_time seq with
+      | Some sent when not (Hashtbl.mem k.tainted seq) -> k.on_rtt (time -. sent)
+      | Some _ | None -> ());
+      Hashtbl.remove k.send_time seq;
+      Hashtbl.remove k.tainted seq
+    done;
+    k.acked <- ack
+  end
+
+(* [on_rtt], when given, receives the Karn-valid RTT samples. *)
+let infer_walk ?(dup_ack_threshold = 3) ?(min_timeout_gap = 0.15) ?on_rtt
+    recorder =
   if dup_ack_threshold < 1 then
     invalid_arg "Analyzer.infer_indications: dup_ack_threshold must be >= 1";
   if not (min_timeout_gap > 0.) then
     invalid_arg "Analyzer.infer_indications: min_timeout_gap must be positive";
+  let karn =
+    Option.map
+      (fun on_rtt ->
+        { send_time = Hashtbl.create 512; tainted = Hashtbl.create 64; acked = 0; on_rtt })
+      on_rtt
+  in
   let out = ref [] in
   let highest_ack = ref (-1) in
   let dup_ack = ref (-1) in
@@ -61,77 +104,60 @@ let infer_indications ?(dup_ack_threshold = 3) ?(min_timeout_gap = 0.15) events 
         open_seq := None
     | None -> ()
   in
-  Array.iter
-    (fun { Event.time; kind } ->
-      match kind with
-      | Event.Ack_received { ack } ->
-          if ack > !highest_ack then begin
-            (* Cumulative progress ends any ongoing timeout sequence. *)
+  for i = 0 to buffered_length recorder - 1 do
+    match Recorder.tag recorder i with
+    | Ack ->
+        let ack = Recorder.ack recorder i and time = Recorder.time recorder i in
+        if ack > !highest_ack then begin
+          (* Cumulative progress ends any ongoing timeout sequence. *)
+          close ();
+          highest_ack := ack;
+          dup_ack := ack;
+          dup_count := 0
+        end
+        else if ack = !dup_ack then incr dup_count
+        else begin
+          dup_ack := ack;
+          dup_count := 1
+        end;
+        last_activity := time;
+        (match karn with Some k -> karn_ack k ~ack time | None -> ())
+    | Send ->
+        let seq = Recorder.seq recorder i
+        and retransmission = Recorder.retransmission recorder i
+        and time = Recorder.time recorder i in
+        if retransmission then begin
+          let gap = time -. !last_activity in
+          if seq = !dup_ack && !dup_count >= dup_ack_threshold then begin
             close ();
-            highest_ack := ack;
-            dup_ack := ack;
+            out := Td { at = time } :: !out;
             dup_count := 0
           end
-          else if ack = !dup_ack then incr dup_count
-          else begin
-            dup_ack := ack;
-            dup_count := 1
-          end;
-          last_activity := time
-      | Event.Segment_sent { seq; retransmission; _ } ->
-          if retransmission then begin
-            let gap = time -. !last_activity in
-            if seq = !dup_ack && !dup_count >= dup_ack_threshold then begin
-              close ();
-              out := Td { at = time } :: !out;
-              dup_count := 0
-            end
-            else if gap >= min_timeout_gap then begin
-              match !open_seq with
-              | Some (at, count, first_timer) ->
-                  open_seq := Some (at, count + 1, first_timer)
-              | None -> open_seq := Some (time, 1, gap)
-            end
-            (* else: recovery-burst retransmission, not a new indication *)
-          end;
-          last_activity := time
-      | Event.Timer_fired _ | Event.Fast_retransmit_triggered _
-      | Event.Rtt_sample _ | Event.Round_started _ | Event.Connection_closed ->
-          ())
-    events;
+          else if gap >= min_timeout_gap then begin
+            match !open_seq with
+            | Some (at, count, first_timer) ->
+                open_seq := Some (at, count + 1, first_timer)
+            | None -> open_seq := Some (time, 1, gap)
+          end
+          (* else: recovery-burst retransmission, not a new indication *)
+        end;
+        last_activity := time;
+        (match karn with
+        | Some k -> karn_send k ~seq ~retransmission time
+        | None -> ())
+    | Timeout | Fast_retransmit | Rtt | Round | Close -> ()
+  done;
   close ();
   List.rev !out
 
+let infer_indications ?dup_ack_threshold ?min_timeout_gap recorder =
+  infer_walk ?dup_ack_threshold ?min_timeout_gap recorder
+
 (* --- Karn RTT matching -------------------------------------------------- *)
 
-let karn_rtt_samples events =
-  let send_time : (int, float) Hashtbl.t = Hashtbl.create 512 in
-  let tainted : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let highest_ack = ref 0 in
+let karn_rtt_samples recorder =
   let samples = ref [] in
-  Array.iter
-    (fun { Event.time; kind } ->
-      match kind with
-      | Event.Segment_sent { seq; retransmission; _ } ->
-          if retransmission then Hashtbl.replace tainted seq ()
-          else if not (Hashtbl.mem send_time seq) then
-            Hashtbl.replace send_time seq time
-      | Event.Ack_received { ack } ->
-          if ack > !highest_ack then begin
-            for seq = !highest_ack to ack - 1 do
-              (match Hashtbl.find_opt send_time seq with
-              | Some sent when not (Hashtbl.mem tainted seq) ->
-                  samples := (time -. sent) :: !samples
-              | Some _ | None -> ());
-              Hashtbl.remove send_time seq;
-              Hashtbl.remove tainted seq
-            done;
-            highest_ack := ack
-          end
-      | Event.Timer_fired _ | Event.Fast_retransmit_triggered _
-      | Event.Rtt_sample _ | Event.Round_started _ | Event.Connection_closed ->
-          ())
-    events;
+  ignore (infer_walk ~on_rtt:(fun s -> samples := s :: !samples) recorder);
   Array.of_list (List.rev !samples)
 
 (* --- Summaries ----------------------------------------------------------- *)
@@ -168,28 +194,20 @@ let mean_or_zero = function
 
 let summarize ?(mode = `Ground_truth) ?dup_ack_threshold ?min_timeout_gap
     recorder =
-  let events = Recorder.events recorder in
+  (* RTT samples are summed in record order, as [Descriptive.mean_list]
+     would sum them. *)
+  let rtt_sum = ref 0. and rtt_count = ref 0 in
+  let on_rtt sample =
+    rtt_sum := !rtt_sum +. sample;
+    incr rtt_count
+  in
   let indications =
     match mode with
-    | `Ground_truth -> ground_truth_indications events
-    | `Infer -> infer_indications ?dup_ack_threshold ?min_timeout_gap events
+    | `Ground_truth -> ground_truth_walk ~on_rtt recorder
+    | `Infer -> infer_walk ?dup_ack_threshold ?min_timeout_gap ~on_rtt recorder
   in
   let td_count, to_by_backoff, first_timers = bucketize indications in
-  let rtts =
-    match mode with
-    | `Infer -> Array.to_list (karn_rtt_samples events)
-    | `Ground_truth ->
-        Array.to_list events
-        |> List.filter_map (fun { Event.kind; _ } ->
-               match kind with
-               | Event.Rtt_sample { sample; _ } -> Some sample
-               | _ -> None)
-  in
-  let packets_sent =
-    Array.fold_left
-      (fun n e -> if Event.is_send e then n + 1 else n)
-      0 events
-  in
+  let packets_sent = Recorder.packets_sent recorder in
   let duration = Recorder.duration recorder in
   let loss_indications = List.length indications in
   {
@@ -201,7 +219,8 @@ let summarize ?(mode = `Ground_truth) ?dup_ack_threshold ?min_timeout_gap
     observed_p =
       (if packets_sent = 0 then 0.
        else float_of_int loss_indications /. float_of_int packets_sent);
-    avg_rtt = mean_or_zero rtts;
+    avg_rtt =
+      (if !rtt_count = 0 then 0. else !rtt_sum /. float_of_int !rtt_count);
     avg_t0 = mean_or_zero first_timers;
     send_rate =
       (if duration > 0. then float_of_int packets_sent /. duration else 0.);

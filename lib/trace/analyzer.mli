@@ -32,13 +32,14 @@ val indication_time : indication -> float
 val infer_indications :
   ?dup_ack_threshold:int ->
   ?min_timeout_gap:float ->
-  Event.t array ->
+  Recorder.t ->
   indication list
-(** Inference mode over a chronological event array.  [min_timeout_gap]
+(** Inference mode over a buffered recorder's trace.  [min_timeout_gap]
     (default 0.15 s) is the idle period that distinguishes a timeout
-    retransmission from a recovery burst. *)
+    retransmission from a recovery burst.  Like every pass here it raises
+    [Invalid_argument] on an unbuffered recorder. *)
 
-val ground_truth_indications : Event.t array -> indication list
+val ground_truth_indications : Recorder.t -> indication list
 
 type summary = {
   duration : float;
@@ -62,9 +63,11 @@ val summarize :
   summary
 (** Default mode [`Ground_truth].  In inference mode, RTT samples are
     re-derived from the send/ACK matching; in ground-truth mode the
-    sender's [Rtt_sample] events are averaged. *)
+    sender's [Rtt_sample] events are averaged.  One walk of the trace
+    finds both the indications and the samples; [packets_sent] is
+    {!Recorder.packets_sent}. *)
 
-val karn_rtt_samples : Event.t array -> float array
+val karn_rtt_samples : Recorder.t -> float array
 (** The inference-mode RTT samples: first-transmission segments matched to
     the first cumulative ACK covering them, skipping any segment that was
     ever retransmitted. *)

@@ -33,32 +33,44 @@ let classify indications =
 
 let split ?(mode = `Ground_truth) ?dup_ack_threshold ~width recorder =
   if not (width > 0.) then invalid_arg "Intervals.split: width must be positive";
-  let events = Recorder.events recorder in
   let indications =
     match mode with
-    | `Ground_truth -> Analyzer.ground_truth_indications events
-    | `Infer -> Analyzer.infer_indications ?dup_ack_threshold events
+    | `Ground_truth -> Analyzer.ground_truth_indications recorder
+    | `Infer -> Analyzer.infer_indications ?dup_ack_threshold recorder
   in
   let duration = Recorder.duration recorder in
   let bins = int_of_float (duration /. width) in
+  (* Bin [index] is [start, start +. width) with [start = index *. width],
+     both rounded: adjacent bins can overlap or leave a gap by an ulp, so
+     [t /. width] only locates a send to within one bin and the exact test
+     decides. *)
+  let in_bin index t =
+    let start = float_of_int index *. width in
+    t >= start && t < start +. width
+  in
+  let sends = Array.make (Int.max 0 bins) 0 in
+  for n = 0 to Recorder.length recorder - 1 do
+    match Recorder.tag recorder n with
+    | Send ->
+        let t = Recorder.time recorder n in
+        let guess = int_of_float (t /. width) in
+        for index = guess - 1 to guess + 1 do
+          if index >= 0 && index < bins && in_bin index t then
+            sends.(index) <- sends.(index) + 1
+        done
+    | Ack | Timeout | Fast_retransmit | Rtt | Round | Close -> ()
+  done;
   List.init bins (fun index ->
       let start = float_of_int index *. width in
-      let stop = start +. width in
-      let in_bin t = t >= start && t < stop in
-      let packets_sent =
-        Array.fold_left
-          (fun n e ->
-            if Event.is_send e && in_bin e.Event.time then n + 1 else n)
-          0 events
-      in
+      let packets_sent = sends.(index) in
       let here =
-        List.filter (fun i -> in_bin (Analyzer.indication_time i)) indications
+        List.filter (fun i -> in_bin index (Analyzer.indication_time i)) indications
       in
       let loss_indications = List.length here in
       {
         index;
         start;
-        stop;
+        stop = start +. width;
         packets_sent;
         loss_indications;
         observed_p =

@@ -10,7 +10,13 @@
       each event the moment it is recorded.  With [buffered = false] the
       recorder keeps {b no} event storage at all — only O(1) counters —
       so arbitrarily long simulations can run with online consumers (see
-      [lib/online]) without the trace ever living in memory. *)
+      [lib/online]) without the trace ever living in memory.
+
+    The buffer packs events into fixed-size blocks of 64-bit words and
+    floats that hold no pointers, never into {!Event.t} values: recording
+    promotes nothing to the major heap, and an {!Event.t} is built only
+    for a subscriber or a reader.  Analysis passes read fields in place
+    with {!tag}, {!time} and the accessors after them. *)
 
 type t
 
@@ -57,3 +63,34 @@ val packets_sent : t -> int
     unbuffered recorders too. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Reading in place}
+
+    The [n]-th buffered event, read without building an {!Event.t}.
+    Every accessor requires [0 <= n < length t].  Each field accessor is
+    meaningful only for the tags it names; on other events it returns an
+    unspecified value. *)
+
+type tag = Send | Ack | Timeout | Fast_retransmit | Rtt | Round | Close
+(** One per {!Event.kind} constructor, in declaration order. *)
+
+val tag : t -> int -> tag
+val time : t -> int -> float
+
+val seq : t -> int -> int
+(** [Send], [Fast_retransmit]. *)
+
+val retransmission : t -> int -> bool
+(** [Send]. *)
+
+val ack : t -> int -> int
+(** [Ack]. *)
+
+val backoff : t -> int -> int
+(** [Timeout]. *)
+
+val rto : t -> int -> float
+(** [Timeout]: the timer value that expired. *)
+
+val sample : t -> int -> float
+(** [Rtt]: the measured sample. *)

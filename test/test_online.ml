@@ -173,7 +173,7 @@ let test_detector_infer_matches_post_hoc () =
   List.iter
     (fun (name, events) ->
       let expected =
-        Analyzer.infer_indications (Recorder.events (recorder_of events))
+        Analyzer.infer_indications (recorder_of events)
       in
       Alcotest.(check (list indication)) name expected
         (drain_detector (Detector.infer ()) events))
@@ -199,7 +199,7 @@ let test_detector_ground_truth_matches_post_hoc () =
   List.iter
     (fun (name, events) ->
       let expected =
-        Analyzer.ground_truth_indications (Recorder.events (recorder_of events))
+        Analyzer.ground_truth_indications (recorder_of events)
       in
       Alcotest.(check (list indication)) name expected
         (drain_detector Detector.Ground_truth events))
@@ -213,7 +213,7 @@ let test_detector_prefix_invariant () =
   for len = 0 to n do
     let prefix = List.filteri (fun i _ -> i < len) events in
     let expected =
-      Analyzer.infer_indications (Recorder.events (recorder_of prefix))
+      Analyzer.infer_indications (recorder_of prefix)
     in
     Alcotest.(check (list indication))
       (Printf.sprintf "prefix %d" len)
@@ -236,7 +236,7 @@ let packet_trace ?(duration = 300.) ?(p = 0.02) seed =
 
 let test_karn_streaming_matches_post_hoc () =
   let recorder = packet_trace 31L in
-  let expected = Analyzer.karn_rtt_samples (Recorder.events recorder) in
+  let expected = Analyzer.karn_rtt_samples recorder in
   let got = ref [] in
   let k = Karn.create ~on_sample:(fun s -> got := s :: !got) () in
   Recorder.iter (Karn.push k) recorder;

@@ -173,6 +173,32 @@ let test_rng_copy () =
   let b = Rng.copy a in
   Alcotest.(check int64) "copy continues identically" (Rng.bits64 a) (Rng.bits64 b)
 
+(* The stream itself, pinned: the tests above only compare generators with
+   each other, so a change to the state layout that altered every stream
+   alike would pass them. *)
+let test_rng_pinned_outputs () =
+  let first3 rng = List.init 3 (fun _ -> Rng.bits64 rng) in
+  Alcotest.(check (list int64)) "default seed"
+    [ 0x422EA740D0977210L; 0xE062B061B42E2928L; 0x5A071FC5930841B6L ]
+    (first3 (Rng.create ()));
+  Alcotest.(check (list int64)) "seed 42"
+    [ 0x15780B2E0C2EC716L; 0x6104D9866D113A7EL; 0xAE17533239E499A1L ]
+    (first3 (Rng.create ~seed:42L ()))
+
+(* A draw reads and writes the state in place: every simulated packet
+   takes one, so a boxed state word would cost the simulator ~23 words
+   per packet. *)
+let test_rng_bernoulli_allocates_nothing () =
+  let rng = Rng.create ~seed:14L () in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    if Rng.bernoulli rng 0.3 then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "some hits" true (!hits > 0);
+  Alcotest.(check (float 0.)) "minor words for 1e5 draws" 0. words
+
 (* --- Descriptive ----------------------------------------------------------- *)
 
 let test_mean () = check_float "mean" 2.5 (Descriptive.mean [| 1.; 2.; 3.; 4. |])
@@ -474,6 +500,8 @@ let () =
           case "split reproducible" test_rng_split_reproducible;
           case "split no shared prefix" test_rng_split_no_shared_prefix;
           case "copy" test_rng_copy;
+          case "pinned outputs" test_rng_pinned_outputs;
+          case "bernoulli allocates nothing" test_rng_bernoulli_allocates_nothing;
         ] );
       ( "descriptive",
         [

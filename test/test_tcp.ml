@@ -640,6 +640,21 @@ let test_round_sim_recorder_events () =
   Alcotest.(check int) "every send recorded" r.Round_sim.packets_sent
     (Pftk_trace.Recorder.packets_sent recorder)
 
+(* Every packet draws from the loss process, so an unrecorded run must not
+   allocate per packet: a boxed draw and an event built for no recorder
+   cost ~38 words per packet. *)
+let test_round_sim_unrecorded_allocation () =
+  let rng = Pftk_stats.Rng.create ~seed:14L () in
+  let loss = Loss.round_correlated rng ~p:0.02 in
+  let before = Gc.minor_words () in
+  let r = Round_sim.run ~duration:3600. ~loss Round_sim.default_config in
+  let words = Gc.minor_words () -. before in
+  let packets = r.Round_sim.packets_sent in
+  if not (words /. float_of_int packets < 4.) then
+    Alcotest.failf "%.0f minor words for %d packets (%.2f per packet)" words
+      packets
+      (words /. float_of_int packets)
+
 let test_config_of_params () =
   let params = Params.make ~b:1 ~rtt:0.3 ~t0:1.5 ~wm:9 () in
   let config = Round_sim.config_of_params params in
@@ -718,6 +733,7 @@ let () =
           case "observed p below nominal" test_round_sim_observed_p_below_nominal;
           case "deterministic" test_round_sim_deterministic;
           case "recorder events" test_round_sim_recorder_events;
+          case "unrecorded run allocates little" test_round_sim_unrecorded_allocation;
           case "config_of_params" test_config_of_params;
           case "validation" test_round_sim_validation;
         ] );

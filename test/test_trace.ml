@@ -59,10 +59,137 @@ let test_recorder_growth () =
   Alcotest.(check int) "5000 events" 5000 (Recorder.length r);
   Alcotest.(check int) "all sends" 5000 (Recorder.packets_sent r)
 
+(* The buffer holds no pointers: recording into a live recorder leaves
+   nothing young for a minor collection to promote (storing each event as
+   a heap value promoted ~10 words per send). *)
+let test_recorder_promotes_nothing () =
+  let r = Recorder.create () in
+  let n = 200_000 in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  for i = 0 to n - 1 do
+    Recorder.record r ~time:(float_of_int i) (send i)
+  done;
+  Gc.minor ();
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+  Alcotest.(check int) "all buffered" n (Recorder.length r);
+  if not (promoted /. float_of_int n < 0.1) then
+    Alcotest.failf "%.0f words promoted for %d sends" promoted n
+
 let test_recorder_fold_iter () =
   let r = recorder_of [ (0., send 0); (1., ack 1) ] in
   let count = Recorder.fold (fun n _ -> n + 1) 0 r in
   Alcotest.(check int) "fold visits all" 2 count
+
+(* Every constructor with extreme fields, over several storage blocks:
+   each field must come back bit for bit, in order, through every reader.
+   Times run from -0. through the smallest subnormal to infinity and a
+   NaN with a payload, which the monotonicity check lets through. *)
+let nan_payload = Int64.float_of_bits 0x7FF0_0000_0000_0001L
+let neg_nan_payload = Int64.float_of_bits 0xFFF8_0000_DEAD_BEEFL
+let subnormal = Int64.float_of_bits 1L
+let extreme_ints = [| min_int; max_int; 0; -1; 1 lsl 61 |]
+
+let extreme_floats =
+  [| nan_payload; infinity; neg_infinity; -0.; subnormal; neg_nan_payload; 1.5 |]
+
+let extreme_trace n =
+  List.init n (fun i ->
+      (* Event [i] is the [i / 7]-th of its kind: each field cycles through
+         every extreme value as the kind recurs. *)
+      let int k = extreme_ints.(((i / 7) + k) mod Array.length extreme_ints) in
+      let float k = extreme_floats.(((i / 7) + k) mod Array.length extreme_floats) in
+      let time =
+        if i = 0 then -0.
+        else if i = 1 then subnormal
+        else if i = n - 2 then infinity
+        else if i = n - 1 then nan_payload
+        else float_of_int i
+      in
+      let kind =
+        match i mod 7 with
+        | 0 ->
+            Event.Segment_sent
+              {
+                seq = int 0;
+                retransmission = i mod 2 = 0;
+                cwnd = float 0;
+                flight = int 1;
+              }
+        | 1 -> Event.Ack_received { ack = int 0 }
+        | 2 -> Event.Timer_fired { backoff = int 0; rto = float 0 }
+        | 3 -> Event.Fast_retransmit_triggered { seq = int 0 }
+        | 4 -> Event.Rtt_sample { sample = float 0; srtt = float 1; rto = float 2 }
+        | 5 -> Event.Round_started { index = int 0; window = float 0 }
+        | _ -> Event.Connection_closed
+      in
+      { Event.time; kind })
+
+(* Floats as their bit patterns, so NaN payloads and -0. compare exactly. *)
+let bits { Event.time; kind } =
+  let f x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+  let fields =
+    match kind with
+    | Event.Segment_sent { seq; retransmission; cwnd; flight } ->
+        Printf.sprintf "send %d %b %s %d" seq retransmission (f cwnd) flight
+    | Event.Ack_received { ack } -> Printf.sprintf "ack %d" ack
+    | Event.Timer_fired { backoff; rto } -> Printf.sprintf "timeout %d %s" backoff (f rto)
+    | Event.Fast_retransmit_triggered { seq } -> Printf.sprintf "fastrexmit %d" seq
+    | Event.Rtt_sample { sample; srtt; rto } ->
+        Printf.sprintf "rtt %s %s %s" (f sample) (f srtt) (f rto)
+    | Event.Round_started { index; window } ->
+        Printf.sprintf "round %d %s" index (f window)
+    | Event.Connection_closed -> "close"
+  in
+  f time ^ " " ^ fields
+
+let test_recorder_roundtrip_extremes () =
+  let n = 5000 in
+  let trace = extreme_trace n in
+  let r = Recorder.create () in
+  let unbuffered = Recorder.create ~buffered:false () in
+  List.iter
+    (fun { Event.time; kind } ->
+      Recorder.record r ~time kind;
+      Recorder.record unbuffered ~time kind)
+    trace;
+  let expected = List.map bits trace in
+  let same what events = Alcotest.(check (list string)) what expected (List.map bits events) in
+  same "events" (Array.to_list (Recorder.events r));
+  let iterated = ref [] in
+  Recorder.iter (fun e -> iterated := e :: !iterated) r;
+  same "iter" (List.rev !iterated);
+  same "fold" (List.rev (Recorder.fold (fun acc e -> e :: acc) [] r));
+  let time_bits time = Int64.bits_of_float time in
+  Alcotest.(check (list int64)) "time in place"
+    (List.map (fun e -> time_bits e.Event.time) trace)
+    (List.init n (fun i -> time_bits (Recorder.time r i)));
+  let start = 1000.5 and stop = 3000.5 in
+  Alcotest.(check (list string)) "between"
+    (List.filter_map
+       (fun e -> if e.Event.time >= start && e.Event.time < stop then Some (bits e) else None)
+       trace)
+    (List.map bits (Array.to_list (Recorder.between r ~start ~stop)));
+  let path = Filename.temp_file "pftk_trace" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Pftk_trace.Serialize.save path r;
+      let written = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check string) "Serialize.write"
+        (String.concat ""
+           ("# pftk trace v1\n"
+           :: List.map (fun e -> Pftk_trace.Serialize.line_of_event e ^ "\n") trace))
+        written);
+  Alcotest.(check int) "unbuffered counts" n (Recorder.events_seen unbuffered);
+  Alcotest.(check int) "same sends" (Recorder.packets_sent r)
+    (Recorder.packets_sent unbuffered);
+  Alcotest.check_raises "unbuffered events"
+    (Invalid_argument "Recorder.events: recorder is unbuffered") (fun () ->
+      ignore (Recorder.events unbuffered));
+  Alcotest.check_raises "unbuffered iter"
+    (Invalid_argument "Recorder.iter: recorder is unbuffered") (fun () ->
+      Recorder.iter ignore unbuffered)
 
 (* --- Ground-truth analyzer ---------------------------------------------------- *)
 
@@ -75,7 +202,7 @@ let test_ground_truth_td () =
         (2., Event.Fast_retransmit_triggered { seq = 5 });
       ]
   in
-  match Analyzer.ground_truth_indications (Recorder.events r) with
+  match Analyzer.ground_truth_indications r with
   | [ Analyzer.Td { at = 1. }; Analyzer.Td { at = 2. } ] -> ()
   | other -> Alcotest.failf "expected two TDs, got %d" (List.length other)
 
@@ -90,7 +217,7 @@ let test_ground_truth_to_sequence () =
         (7., Event.Timer_fired { backoff = 3; rto = 8. });
       ]
   in
-  match Analyzer.ground_truth_indications (Recorder.events r) with
+  match Analyzer.ground_truth_indications r with
   | [ Analyzer.To { at = 1.; timeouts = 3; first_timer = 2. } ] -> ()
   | other -> Alcotest.failf "expected one sequence of 3, got %d" (List.length other)
 
@@ -104,7 +231,7 @@ let test_ground_truth_two_sequences () =
         (10., Event.Timer_fired { backoff = 1; rto = 2. });
       ]
   in
-  match Analyzer.ground_truth_indications (Recorder.events r) with
+  match Analyzer.ground_truth_indications r with
   | [ Analyzer.To { timeouts = 2; _ }; Analyzer.To { timeouts = 1; _ } ] -> ()
   | other -> Alcotest.failf "expected [2;1], got %d items" (List.length other)
 
@@ -116,7 +243,7 @@ let test_ground_truth_td_closes_sequence () =
         (5., Event.Fast_retransmit_triggered { seq = 3 });
       ]
   in
-  match Analyzer.ground_truth_indications (Recorder.events r) with
+  match Analyzer.ground_truth_indications r with
   | [ Analyzer.To { timeouts = 1; _ }; Analyzer.Td _ ] -> ()
   | other -> Alcotest.failf "expected TO then TD, got %d items" (List.length other)
 
@@ -135,14 +262,14 @@ let test_infer_td () =
     ]
   in
   (* First ack sets the baseline; three more make three duplicates. *)
-  match Analyzer.infer_indications (Recorder.events (recorder_of events)) with
+  match Analyzer.infer_indications (recorder_of events) with
   | [ Analyzer.Td { at = 0.4 } ] -> ()
   | other -> Alcotest.failf "expected one TD, got %d items" (List.length other)
 
 let test_infer_timeout () =
   (* A retransmission after a long idle gap is a timeout. *)
   let events = [ (0.0, send 7); (0.1, ack 7); (2.0, send ~rexmit:true 7) ] in
-  match Analyzer.infer_indications (Recorder.events (recorder_of events)) with
+  match Analyzer.infer_indications (recorder_of events) with
   | [ Analyzer.To { timeouts = 1; first_timer; _ } ] ->
       check_float "gap measured" 1.9 first_timer
   | other -> Alcotest.failf "expected one TO, got %d items" (List.length other)
@@ -160,7 +287,7 @@ let test_infer_backoff_chain () =
       (14.2, ack 9);
     ]
   in
-  match Analyzer.infer_indications (Recorder.events (recorder_of events)) with
+  match Analyzer.infer_indications (recorder_of events) with
   | [ Analyzer.To { timeouts = 3; _ } ] -> ()
   | other -> Alcotest.failf "expected a 3-timeout sequence, got %d items"
       (List.length other)
@@ -177,7 +304,7 @@ let test_infer_recovery_burst_not_counted () =
       (2.02, send ~rexmit:true 5);
     ]
   in
-  match Analyzer.infer_indications (Recorder.events (recorder_of events)) with
+  match Analyzer.infer_indications (recorder_of events) with
   | [ Analyzer.To { timeouts = 1; _ } ] -> ()
   | other -> Alcotest.failf "expected a single TO, got %d items" (List.length other)
 
@@ -193,14 +320,14 @@ let test_infer_new_data_resets_gap () =
   in
   Alcotest.(check int) "no indications" 0
     (List.length
-       (Analyzer.infer_indications (Recorder.events (recorder_of events))))
+       (Analyzer.infer_indications (recorder_of events)))
 
 (* --- Karn RTT matching ------------------------------------------------------------ *)
 
 let test_karn_basic () =
   let events = [ (0.0, send 0); (0.3, ack 1) ] in
   Alcotest.(check (array (float 1e-9))) "one sample" [| 0.3 |]
-    (Analyzer.karn_rtt_samples (Recorder.events (recorder_of events)))
+    (Analyzer.karn_rtt_samples (recorder_of events))
 
 let test_karn_skips_retransmitted () =
   let events =
@@ -214,14 +341,14 @@ let test_karn_skips_retransmitted () =
   in
   (* Segment 0 was retransmitted: no sample.  Segment 1 is clean: 0.3 s. *)
   Alcotest.(check (array (float 1e-9))) "karn's rule" [| 0.3 |]
-    (Analyzer.karn_rtt_samples (Recorder.events (recorder_of events)))
+    (Analyzer.karn_rtt_samples (recorder_of events))
 
 let test_karn_cumulative_ack_covers_many () =
   let events =
     [ (0.0, send 0); (0.05, send 1); (0.1, send 2); (0.4, ack 3) ] in
   (* All three clean segments are sampled from the single cumulative ACK. *)
   Alcotest.(check int) "three samples" 3
-    (Array.length (Analyzer.karn_rtt_samples (Recorder.events (recorder_of events))))
+    (Array.length (Analyzer.karn_rtt_samples (recorder_of events)))
 
 (* --- Summaries --------------------------------------------------------------------- *)
 
@@ -327,6 +454,43 @@ let test_intervals_classification_ladder () =
   Alcotest.(check bool) "double timeout -> T1" true (mk [ 2 ] = Intervals.T1);
   Alcotest.(check bool) "triple timeout -> T2+" true (mk [ 3 ] = Intervals.T2_plus);
   Alcotest.(check bool) "deepest wins" true (mk [ 1; 3; 1 ] = Intervals.T2_plus)
+
+(* Bin [k] is [k *. w, k *. w +. w), both rounded, so with w = 0.1 bins 5
+   and 6 leave a gap at 0.6 and bins 12 and 13 overlap at 1.3.  Sends on
+   every edge, a float either side, and at [duration] must land in exactly
+   the bins the rule names, counted the slow way. *)
+let test_intervals_bin_edges () =
+  let width = 0.1 in
+  let bins = 30 in
+  let edges =
+    List.concat
+      (List.init (bins + 1) (fun k ->
+           let start = float_of_int k *. width in
+           [ start; start +. width ]))
+  in
+  let times =
+    List.concat_map (fun t -> [ Float.pred t; t; Float.succ t ]) edges
+    |> List.filter (fun t -> t >= 0.)
+    |> List.sort Float.compare
+  in
+  let duration = float_of_int bins *. width in
+  let times = List.filter (fun t -> t <= duration) times @ [ duration ] in
+  let r = recorder_of (List.mapi (fun i t -> (t, send i)) times) in
+  let in_bin k t =
+    let start = float_of_int k *. width in
+    t >= start && t < start +. width
+  in
+  let naive k = List.length (List.filter (in_bin k) times) in
+  let split = Intervals.split ~width r in
+  Alcotest.(check int) "bin count" (int_of_float (duration /. width)) (List.length split);
+  List.iter
+    (fun b ->
+      Alcotest.(check int)
+        (Printf.sprintf "bin %d" b.Intervals.index)
+        (naive b.Intervals.index) b.Intervals.packets_sent)
+    split;
+  Alcotest.(check bool) "0.6 is in no bin" false (in_bin 5 0.6 || in_bin 6 0.6);
+  Alcotest.(check bool) "1.3 is in two bins" true (in_bin 12 1.3 && in_bin 13 1.3)
 
 let test_intervals_validation () =
   Alcotest.check_raises "bad width"
@@ -567,6 +731,8 @@ let () =
           case "between" test_recorder_between;
           case "growth" test_recorder_growth;
           case "fold/iter" test_recorder_fold_iter;
+          case "recording promotes nothing" test_recorder_promotes_nothing;
+          case "round trip of extreme fields" test_recorder_roundtrip_extremes;
         ] );
       ( "ground-truth",
         [
@@ -617,6 +783,7 @@ let () =
         [
           case "binning" test_intervals_binning;
           case "classification ladder" test_intervals_classification_ladder;
+          case "sends on bin edges" test_intervals_bin_edges;
           case "validation" test_intervals_validation;
           case "labels" test_classification_labels;
         ] );

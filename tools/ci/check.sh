@@ -30,7 +30,9 @@
 #                          -- the optimized build the benchmarks use
 #   8. --jobs identity     -- `pftk all --quick` on the release binary
 #                             must print byte-identical stdout at
-#                             --jobs 1 and --jobs 2 (every artifact)
+#                             --jobs 1 and --jobs 2 (every artifact),
+#                             and the --jobs 1 stdout must match the
+#                             pinned digest of the reference output
 #   9. batch smoke         -- timed bench-batch runs on the release
 #                             binary asserting the batch engine's
 #                             speedup floors and bitwise equality
@@ -39,23 +41,33 @@
 #                             held to a sub-second solver budget, and
 #                             the quick netsim cross-validation
 #
-# Each phase reports its wall-clock time.  Exits non-zero at the first
-# failure.  Run from anywhere inside the workspace; dune locates the
-# project root itself.
+# Each phase reports its wall-clock time, to the millisecond where
+# `date +%s%N` works and to the second elsewhere.  Exits non-zero at the
+# first failure.  Run from anywhere inside the workspace; dune locates
+# the project root itself.
 
 set -eu
 
 say() { printf '== %s\n' "$*"; }
 
-# POSIX sh has no SECONDS; date +%s is universal.
+# POSIX sh has no SECONDS.  date +%s is universal; %N (nanoseconds) is a
+# GNU extension that other dates print back as a literal N.
+now_ns() {
+  _ns=$(date +%s%N)
+  case $_ns in
+  *N) echo "$(($(date +%s) * 1000000000))" ;;
+  *) echo "$_ns" ;;
+  esac
+}
+
 phase() {
   _label=$1
   shift
   say "$_label"
-  _t0=$(date +%s)
+  _t0=$(now_ns)
   "$@"
-  _t1=$(date +%s)
-  say "$_label: done in $((_t1 - _t0))s"
+  _ms=$((($(now_ns) - _t0) / 1000000))
+  say "$(printf '%s: done in %d.%03ds' "$_label" $((_ms / 1000)) $((_ms % 1000)))"
 }
 
 phase "dune build (default alias: compile + @lint + @race + @flow + @units)" dune build
@@ -79,8 +91,22 @@ phase "dune build --profile release" dune build --profile release
 
 # The determinism contract end to end: every artifact `pftk all` prints
 # (70 322 bytes with --quick, about 2 s for both runs on two cores) must
-# not depend on how many domains computed it.  On a mismatch both outputs
-# are kept for diffing.
+# not depend on how many domains computed it.  Comparing the two job
+# counts cannot catch a change that moves both alike, such as a different
+# random stream, so the --jobs 1 output must also match the digest of the
+# reference output (default seed 42; taken with OCaml 5.1.1 on x86-64
+# Linux, whose float formatting it depends on).  On a mismatch both
+# outputs are kept for diffing.
+all_quick_md5=e4b451dce85c9ebb1faf8a9fbe238bea
+
+md5_of() {
+  if command -v md5sum >/dev/null 2>&1; then
+    md5sum <"$1" | cut -d ' ' -f 1
+  else
+    md5 -q "$1"
+  fi
+}
+
 all_jobs_identity() {
   _out=$(mktemp -d)
   dune exec --profile release bin/pftk.exe -- all --quick --jobs 1 >"$_out/jobs1"
@@ -89,10 +115,15 @@ all_jobs_identity() {
     say "pftk all stdout differs between --jobs 1 and 2; kept in $_out"
     return 1
   fi
+  _md5=$(md5_of "$_out/jobs1")
+  if [ "$_md5" != "$all_quick_md5" ]; then
+    say "pftk all stdout has MD5 $_md5, expected $all_quick_md5; kept in $_out"
+    return 1
+  fi
   rm -r "$_out"
 }
 
-phase "pftk all --quick: --jobs 1 and --jobs 2 byte-identical" \
+phase "pftk all --quick: --jobs 1 and --jobs 2 byte-identical, pinned digest" \
   all_jobs_identity
 
 # Speedup floors are deliberately below the measured steady-state values

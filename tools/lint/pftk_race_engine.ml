@@ -182,10 +182,11 @@ let record_exports st unit (sg : signature) =
 (* --- R1: mutable captures in worker closures ------------------------------- *)
 
 (* The fan-out entry points. [map]/[mapi]/[init] must resolve through
-   the Pftk_parallel wrapper; [Pool.submit] is matched on the [Pool]
-   component so the internal submission sites inside pftk_parallel.ml
-   itself (where the path prints without the library prefix) are
-   covered too. *)
+   the Pftk_parallel wrapper.  Pftk_parallel has no pool (each call
+   spawns its own helpers), so nothing in the tree calls a [submit];
+   [Pool.submit] is matched on the [Pool] component alone, whatever
+   the library prefix, so that a hand-rolled worker pool added anywhere
+   is checked from its first task. *)
 let trigger_of_callee fn =
   match fn.exp_desc with
   | Texp_ident (p, _, _) -> (
