@@ -66,9 +66,20 @@ let model_arg =
   in
   Arg.(value & opt string "full" & info [ "model" ] ~docv:"MODEL" ~doc)
 
+(* [f ()], where an [Invalid_argument] means a flag value the libraries
+   reject: its message and exit 2, the code for bad arguments, instead of
+   an uncaught exception. *)
+let checked f =
+  match f () with
+  | v -> v
+  | exception Invalid_argument msg ->
+      Format.eprintf "pftk: %s@." msg;
+      exit 2
+
 let make_params ~rtt ~t0 ~b ~wm =
-  if wm <= 0 then Params.make ~b ~rtt ~t0 ()
-  else Params.make ~b ~wm ~rtt ~t0 ()
+  checked (fun () ->
+      if wm <= 0 then Params.make ~b ~rtt ~t0 ()
+      else Params.make ~b ~wm ~rtt ~t0 ())
 
 let parse_model name =
   match Model.of_name name with
@@ -346,8 +357,9 @@ let live_cmd =
     let params = make_params ~rtt ~t0 ~b ~wm in
     let mode = if infer then `Infer else `Ground_truth in
     let predictor =
-      Pftk_online.Predictor.create ~mode ~interval params ~on_snapshot:(fun s ->
-          Format.fprintf ppf "%a@." Pftk_online.Predictor.pp_snapshot s)
+      checked (fun () ->
+          Pftk_online.Predictor.create ~mode ~interval params ~on_snapshot:(fun s ->
+              Format.fprintf ppf "%a@." Pftk_online.Predictor.pp_snapshot s))
     in
     let sink = Pftk_online.Predictor.sink predictor in
     (match trace with
@@ -402,14 +414,9 @@ let selfcheck_cmd =
   in
   let run cases seed jobs invariant pin =
     let report =
-      match
-        Pftk_selfcheck.Runner.run
-          { Pftk_selfcheck.Runner.cases; seed; jobs; only = invariant }
-      with
-      | report -> report
-      | exception Invalid_argument msg ->
-          Format.eprintf "pftk: %s@." msg;
-          exit 2
+      checked (fun () ->
+          Pftk_selfcheck.Runner.run
+            { Pftk_selfcheck.Runner.cases; seed; jobs; only = invariant })
     in
     Pftk_selfcheck.Runner.pp_report ppf report;
     (match pin with

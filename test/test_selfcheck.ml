@@ -233,6 +233,29 @@ let test_cli_corrupt_trace () =
   Alcotest.(check bool) "no backtrace" true
     (not (contains ~sub:"Fatal error" stderr))
 
+(* Path parameters the model rejects are bad arguments: a one-line
+   message and exit 2, never an uncaught exception (exit 125). *)
+let test_cli_bad_path_parameters () =
+  List.iter
+    (fun (args, reason) ->
+      let code =
+        Sys.command
+          (Printf.sprintf "../bin/pftk.exe %s --duration 1 1>/dev/null 2>cli_stderr.txt" args)
+      in
+      Alcotest.(check int) (args ^ ": exit 2") 2 code;
+      Alcotest.(check string) (args ^ ": message") ("pftk: " ^ reason ^ "\n")
+        (read_file "cli_stderr.txt"))
+    [
+      ("live --t0 0", "Params: t0 must be positive");
+      ("live --rtt nan", "Params: rtt must be positive");
+      ("live -b 0", "Params: b must be >= 1");
+      ("live --interval 0", "Predictor.create: interval must be positive");
+    ];
+  let code = Sys.command "../bin/pftk.exe rate --t0 0 1>/dev/null 2>cli_stderr.txt" in
+  Alcotest.(check int) "rate --t0 0: exit 2" 2 code;
+  Alcotest.(check string) "rate --t0 0: message" "pftk: Params: t0 must be positive\n"
+    (read_file "cli_stderr.txt")
+
 let test_cli_selfcheck_smoke () =
   let code =
     Sys.command
@@ -280,6 +303,7 @@ let () =
       ( "cli",
         [
           case "corrupt trace" test_cli_corrupt_trace;
+          case "bad path parameters" test_cli_bad_path_parameters;
           case "selfcheck smoke" test_cli_selfcheck_smoke;
         ] );
     ]

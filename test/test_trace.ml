@@ -180,7 +180,9 @@ let test_recorder_roundtrip_extremes () =
         (String.concat ""
            ("# pftk trace v1\n"
            :: List.map (fun e -> Pftk_trace.Serialize.line_of_event e ^ "\n") trace))
-        written);
+        written;
+      (* The last time is NaN, which the reader's monotonic guard lets by. *)
+      Alcotest.(check int) "Serialize.load" n (Recorder.length (Pftk_trace.Serialize.load path)));
   Alcotest.(check int) "unbuffered counts" n (Recorder.events_seen unbuffered);
   Alcotest.(check int) "same sends" (Recorder.packets_sent r)
     (Recorder.packets_sent unbuffered);
@@ -721,6 +723,358 @@ let test_serialize_error_backwards_time () =
           Alcotest.(check bool) "message locates the file" true
             (contains ~sub:":2: " (Pftk_trace.Serialize.error_message e)))
 
+(* --- Serialization against the Printf and split_on_char spellings ----------
+   The reader scans lines in place and decodes the writer's own %h and %d
+   tokens itself; the writer spells them without Printf.  [Oracle] is the
+   module's previous code, kept verbatim as the reference both must match
+   byte for byte, bit for bit, error for error. *)
+
+module Serialize = Pftk_trace.Serialize
+
+module Oracle = struct
+  let line_of_event { Event.time; kind } =
+    match kind with
+    | Event.Segment_sent { seq; retransmission; cwnd; flight } ->
+        Printf.sprintf "%h send %d %b %h %d" time seq retransmission cwnd flight
+    | Event.Ack_received { ack } -> Printf.sprintf "%h ack %d" time ack
+    | Event.Timer_fired { backoff; rto } ->
+        Printf.sprintf "%h timeout %d %h" time backoff rto
+    | Event.Fast_retransmit_triggered { seq } ->
+        Printf.sprintf "%h fastrexmit %d" time seq
+    | Event.Rtt_sample { sample; srtt; rto } ->
+        Printf.sprintf "%h rtt %h %h %h" time sample srtt rto
+    | Event.Round_started { index; window } ->
+        Printf.sprintf "%h round %d %h" time index window
+    | Event.Connection_closed -> Printf.sprintf "%h close" time
+
+  let malformed line =
+    raise
+      (Serialize.Error
+         { file = None; line = 0; reason = Printf.sprintf "malformed line %S" line })
+
+  let event_of_line line =
+    let line = String.trim line in
+    if line = "" || line.[0] = '#' then None
+    else begin
+      let fail () = malformed line in
+      let float_of s = try float_of_string s with Failure _ -> fail () in
+      let int_of s = try int_of_string s with Failure _ -> fail () in
+      let bool_of s = try bool_of_string s with Invalid_argument _ -> fail () in
+      match String.split_on_char ' ' line with
+      | time :: "send" :: [ seq; rexmit; cwnd; flight ] ->
+          Some
+            {
+              Event.time = float_of time;
+              kind =
+                Event.Segment_sent
+                  {
+                    seq = int_of seq;
+                    retransmission = bool_of rexmit;
+                    cwnd = float_of cwnd;
+                    flight = int_of flight;
+                  };
+            }
+      | time :: "ack" :: [ ack ] ->
+          Some
+            { Event.time = float_of time; kind = Event.Ack_received { ack = int_of ack } }
+      | time :: "timeout" :: [ backoff; rto ] ->
+          Some
+            {
+              Event.time = float_of time;
+              kind =
+                Event.Timer_fired { backoff = int_of backoff; rto = float_of rto };
+            }
+      | time :: "fastrexmit" :: [ seq ] ->
+          Some
+            {
+              Event.time = float_of time;
+              kind = Event.Fast_retransmit_triggered { seq = int_of seq };
+            }
+      | time :: "rtt" :: [ sample; srtt; rto ] ->
+          Some
+            {
+              Event.time = float_of time;
+              kind =
+                Event.Rtt_sample
+                  {
+                    sample = float_of sample;
+                    srtt = float_of srtt;
+                    rto = float_of rto;
+                  };
+            }
+      | time :: "round" :: [ index; window ] ->
+          Some
+            {
+              Event.time = float_of time;
+              kind =
+                Event.Round_started
+                  { index = int_of index; window = float_of window };
+            }
+      | [ time; "close" ] ->
+          Some { Event.time = float_of time; kind = Event.Connection_closed }
+      | _ -> fail ()
+    end
+end
+
+(* A parse result as a string: events bit for bit, errors with their
+   reason. *)
+let outcome parse line =
+  match parse line with
+  | Some e -> "event " ^ bits e
+  | None -> "none"
+  | exception Serialize.Error { line; reason; _ } -> Printf.sprintf "error %d %s" line reason
+
+(* The token shapes the scanner decodes itself: up to 18 decimal digits,
+   or [[-]0x<hex>[.<hex>]p±<dec>] with 1 to 14 lowercase hex digits below
+   2^53 and 1 to 5 exponent digits.  Anything else takes the fallback. *)
+let fast_token tok =
+  let body =
+    if String.starts_with ~prefix:"-" tok then String.sub tok 1 (String.length tok - 1)
+    else tok
+  in
+  let is_dec c = c >= '0' && c <= '9' in
+  let is_hex c = is_dec c || (c >= 'a' && c <= 'f') in
+  let nonempty_all p s = s <> "" && String.for_all p s in
+  let hex_form () =
+    match String.index_opt body 'p' with
+    | Some k when String.starts_with ~prefix:"0x" body ->
+        let mantissa = String.sub body 2 (k - 2) in
+        let exp = String.sub body (k + 1) (String.length body - k - 1) in
+        let digits = String.concat "" (String.split_on_char '.' mantissa) in
+        List.length (String.split_on_char '.' mantissa) <= 2
+        && nonempty_all is_hex digits
+        && String.length digits <= 14
+        && int_of_string ("0x" ^ digits) < 1 lsl 53
+        && String.length exp >= 2
+        && String.length exp <= 6
+        && (exp.[0] = '+' || exp.[0] = '-')
+        && nonempty_all is_dec (String.sub exp 1 (String.length exp - 1))
+    | _ -> false
+  in
+  (nonempty_all is_dec body && String.length body <= 18) || hex_form ()
+
+(* Accepted lines whose every numeric field is decoded in place. *)
+let fast_line line =
+  match String.split_on_char ' ' (String.trim line) with
+  | time :: _tag :: fields ->
+      List.for_all
+        (fun f -> f = "true" || f = "false" || fast_token f)
+        (time :: fields)
+  | _ -> false
+
+let sample_lines =
+  List.map Oracle.line_of_event (extreme_trace 70)
+  @ List.map Oracle.line_of_event (random_trace ~seed:99L ~n:40)
+  @ [
+      (* Spellings the writer never emits, all decoded by the stdlib. *)
+      "0x1.8p+1 ack 007";
+      "1.5 send 3 true 2.5 4";
+      "nan ack 1";
+      "-nan timeout 2 infinity";
+      "infinity rtt 0x1p-3 -infinity nan";
+      "0x1p+0 round +5 0x10";
+      "0x1_0p+0 ack 1_000";
+      "0X1P+0 ack 0x10";
+      "0x1.p+0 close";
+      "0x.8p+0 close";
+      "0x1.fffffffffffffp+1023 timeout 1 0x0.0000000000001p-1022";
+      "0x1.ffffffffffffffp+0 ack 1";
+      "0x123456789abcdef0p+0 ack 1";
+      "0x10000000000000000p+0 ack 1";
+      "0x1p+123456 ack 1";
+      "0x1p123 ack 1";
+      "0x1p-0 fastrexmit -0";
+      "0x1p+99999 ack 1";
+      "0x1p-99999 ack 1";
+      "1e400 ack 1";
+      "-0x0p+0 ack 123456789012345678";
+      "0x1p+0 ack 1234567890123456789";
+      "0x1p+0 ack 4611686018427387904";
+      "0x1p+0 ack -4611686018427387904";
+      "0x1p+0 ack 0u123";
+      "0x1p+0 ack 0b101";
+      "0x1p+0 send 1 True 0x1p+0 1";
+      "  0x1p+0 ack 1  \r";
+      "\t0x1p+0 ack 1";
+      "0x1p+0  ack 1";
+      "0x1p+0 ack";
+      "0x1p+0 ack 1 2";
+      "0x1p+0 close 1";
+      "# comment";
+      "";
+      "   ";
+      "#";
+    ]
+
+(* Byte-level mutations of [line]: every truncation, and every position
+   overwritten with or preceded by each byte below; then overlong hex
+   mantissas and exponents, and empty fields. *)
+let mutation_bytes = "\r\t\000\255_+-XPxp .09afAg#\ne"
+
+let mutations line =
+  let n = String.length line in
+  let with_byte i c ~keep =
+    String.sub line 0 i ^ String.make 1 c ^ String.sub line (i + keep) (n - i - keep)
+  in
+  let splice i s = String.sub line 0 i ^ s ^ String.sub line i (n - i) in
+  List.concat
+    (List.init (n + 1) (fun i ->
+         String.sub line 0 i
+         :: splice i "fffffff"
+         :: splice i "00000"
+         :: splice i " "
+         :: List.concat_map
+              (fun c -> if i < n then [ with_byte i c ~keep:1; with_byte i c ~keep:0 ] else [])
+              (List.of_seq (String.to_seq mutation_bytes))))
+
+let test_serialize_reader_matches_oracle () =
+  let fast = ref 0 and fallback = ref 0 and rejected = ref 0 and lines = ref 0 in
+  List.iter
+    (fun base ->
+      List.iter
+        (fun line ->
+          incr lines;
+          let expected = outcome Oracle.event_of_line line in
+          let actual = outcome Serialize.event_of_line line in
+          if not (String.equal expected actual) then
+            Alcotest.failf "%S: scanner gives %S, oracle %S" line actual expected;
+          if String.starts_with ~prefix:"event" expected then
+            incr (if fast_line line then fast else fallback)
+          else if String.starts_with ~prefix:"error" expected then incr rejected)
+        (base :: mutations base))
+    sample_lines;
+  (* Each class is at least 1% of the mutated lines. *)
+  List.iter
+    (fun (what, count) ->
+      if !count * 100 < !lines then
+        Alcotest.failf "%s: only %d of %d mutated lines" what !count !lines)
+    [ ("fast path", fast); ("fallback", fallback); ("rejected", rejected) ]
+
+(* Writer: the Printf spelling for the extreme floats and ints, and for
+   10^5 random bit patterns. *)
+let test_serialize_writer_matches_printf () =
+  let floats =
+    [
+      0.; -0.; Int64.float_of_bits 1L; Float.min_float; Float.max_float;
+      infinity; neg_infinity; Float.nan; Float.neg Float.nan; 1.; -1.5; 0.1;
+    ]
+  in
+  let ints = [ min_int; max_int; -1; 0; 1; -42; 1 lsl 53 ] in
+  let check_event e =
+    Alcotest.(check string) "line" (Oracle.line_of_event e) (Serialize.line_of_event e)
+  in
+  let events time x n =
+    [
+      Event.Segment_sent { seq = n; retransmission = n land 1 = 0; cwnd = x; flight = -n };
+      Event.Ack_received { ack = n };
+      Event.Timer_fired { backoff = n; rto = x };
+      Event.Fast_retransmit_triggered { seq = n };
+      Event.Rtt_sample { sample = x; srtt = time; rto = -.x };
+      Event.Round_started { index = n; window = x };
+      Event.Connection_closed;
+    ]
+    |> List.iter (fun kind -> check_event { Event.time; kind })
+  in
+  List.iter (fun x -> List.iter (fun n -> events x x n) ints) floats;
+  Alcotest.(check string) "sign of a NaN, min_int" "-nan ack -4611686018427387904"
+    (Serialize.line_of_event
+       { Event.time = Float.neg Float.nan; kind = Event.Ack_received { ack = min_int } });
+  Alcotest.(check string) "subnormal" "0x0.0000000000001p-1022 close"
+    (Serialize.line_of_event { Event.time = Int64.float_of_bits 1L; kind = Event.Connection_closed });
+  let rng = Pftk_stats.Rng.create ~seed:2024L () in
+  for _ = 1 to 100_000 do
+    let x = Int64.float_of_bits (Pftk_stats.Rng.bits64 rng) in
+    let time = Int64.float_of_bits (Pftk_stats.Rng.bits64 rng) in
+    let n = Int64.to_int (Pftk_stats.Rng.bits64 rng) in
+    let kind =
+      match Pftk_stats.Rng.int rng 7 with
+      | 0 -> Event.Segment_sent { seq = n; retransmission = n < 0; cwnd = x; flight = n asr 7 }
+      | 1 -> Event.Ack_received { ack = n }
+      | 2 -> Event.Timer_fired { backoff = n asr 40; rto = x }
+      | 3 -> Event.Fast_retransmit_triggered { seq = n asr 20 }
+      | 4 -> Event.Rtt_sample { sample = x; srtt = time; rto = x *. 0.5 }
+      | 5 -> Event.Round_started { index = n; window = x }
+      | _ -> Event.Connection_closed
+    in
+    let e = { Event.time; kind } in
+    let expected = Oracle.line_of_event e in
+    if not (String.equal expected (Serialize.line_of_event e)) then
+      Alcotest.failf "writer gives %S, Printf %S" (Serialize.line_of_event e) expected
+  done
+
+let load_outcome path =
+  match Serialize.load path with
+  | r -> Printf.sprintf "%d events" (Recorder.length r)
+  | exception Serialize.Error { file; line; reason } ->
+      Printf.sprintf "%s:%d: %s" (if file = Some path then "FILE" else "?") line reason
+
+(* The file-level contract of the block reader, pinned case by case. *)
+let test_serialize_file_edges () =
+  let cases =
+    [
+      ("last line without a newline", "0x0p+0 ack 1\n0x1p+0 ack 2", "2 events");
+      ("CRLF", "# header\r\n0x0p+0 ack 1\r\n0x1p+0 ack 2\r\n", "2 events");
+      ("empty file", "", "0 events");
+      ("comments and blanks only", "# pftk trace v1\n\n   \n# end", "0 events");
+      ( "an overlong comment",
+        "0x0p+0 ack 1\n# " ^ String.make 5000 'x' ^ "\n0x1p+0 ack 2\n",
+        "2 events" );
+      ( "an overlong malformed line, quoted whole",
+        "0x0p+0 ack 1\n\n0x1p+0 ack " ^ String.make 5000 '7' ^ "\n",
+        Printf.sprintf "FILE:3: malformed line %S" ("0x1p+0 ack " ^ String.make 5000 '7') );
+      ( "line numbers count comments and blank lines",
+        "# header\n\n0x0p+0 ack 1\n   \n# note\n0x1p+0 ack x\n",
+        "FILE:6: malformed line \"0x1p+0 ack x\"" );
+      ( "a NUL inside a field",
+        "0x0p+0 ack 1\n0x1p+0 ack 2\000\n",
+        "FILE:2: malformed line \"0x1p+0 ack 2\\000\"" );
+      ( "an error on an unterminated last line",
+        "0x1p+0 ack 1\n0x1p-1 ack 2",
+        "FILE:2: time went backwards: 0.5 s after 1 s" );
+    ]
+  in
+  List.iter
+    (fun (what, content, expected) ->
+      with_trace_file content (fun path ->
+          Alcotest.(check string) what expected (load_outcome path)))
+    cases
+
+(* A NaN time passes the monotonic guard but must not reset it. *)
+let test_serialize_nan_time_keeps_guard () =
+  with_trace_file "0x1p+3 ack 1\nnan ack 2\n0x1p+0 ack 3\n" (fun path ->
+      Alcotest.(check string) "fails at the step back"
+        "FILE:3: time went backwards: 1 s after 8 s" (load_outcome path));
+  with_trace_file "0x1p+3 ack 1\nnan ack 2\n0x1p+4 ack 3\n" (fun path ->
+      Alcotest.(check string) "NaN-timed lines still load" "3 events" (load_outcome path))
+
+(* Allocation per event, writing a packet-level trace and streaming it
+   back: on this trace the Printf writer took 112 minor words per event
+   and the split_on_char reader 64. *)
+let test_serialize_allocation () =
+  let result = Pftk_tcp.Connection.run ~seed:5L ~duration:300. Pftk_tcp.Connection.default_scenario in
+  let r = result.Pftk_tcp.Connection.recorder in
+  let n = float_of_int (Recorder.length r) in
+  let path = Filename.temp_file "pftk_trace" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      let before = Gc.minor_words () in
+      Serialize.write oc r;
+      let write_words = (Gc.minor_words () -. before) /. n in
+      close_out oc;
+      let before = Gc.minor_words () in
+      Serialize.iter_file path (fun _ -> ());
+      let read_words = (Gc.minor_words () -. before) /. n in
+      let over =
+        List.filter_map
+          (fun (what, words, bound) ->
+            if words < bound then None
+            else Some (Printf.sprintf "%s: %.1f minor words per event, over %g" what words bound))
+          [ ("write", write_words, 40.); ("iter_file", read_words, 30.) ]
+      in
+      if over <> [] then Alcotest.fail (String.concat "; " over))
+
 let () =
   Alcotest.run "pftk_trace"
     [
@@ -770,6 +1124,11 @@ let () =
           case "rejects malformed" test_serialize_rejects_malformed;
           case "error locates line" test_serialize_error_locates_line;
           case "backwards time readable" test_serialize_error_backwards_time;
+          case "reader matches the previous parser" test_serialize_reader_matches_oracle;
+          case "writer matches Printf" test_serialize_writer_matches_printf;
+          case "file edges" test_serialize_file_edges;
+          case "NaN time keeps the guard" test_serialize_nan_time_keeps_guard;
+          case "allocation per event" test_serialize_allocation;
         ] );
       ( "timeline",
         [

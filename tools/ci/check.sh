@@ -33,10 +33,14 @@
 #                             --jobs 1 and --jobs 2 (every artifact),
 #                             and the --jobs 1 stdout must match the
 #                             pinned digest of the reference output
-#   9. batch smoke         -- timed bench-batch runs on the release
+#   9. trace format       -- a one-hour trace written by
+#                             `pftk simulate --dump-trace` and the
+#                             stdout of `pftk live --trace` replaying
+#                             it must match their pinned digests
+#  10. batch smoke         -- timed bench-batch runs on the release
 #                             binary asserting the batch engine's
 #                             speedup floors and bitwise equality
-#  10. meanfield smoke     -- the mean-field backend on the release
+#  11. meanfield smoke     -- the mean-field backend on the release
 #                             binary: a 100000-flow RED equilibrium
 #                             held to a sub-second solver budget, and
 #                             the quick netsim cross-validation
@@ -125,6 +129,31 @@ all_jobs_identity() {
 
 phase "pftk all --quick: --jobs 1 and --jobs 2 byte-identical, pinned digest" \
   all_jobs_identity
+
+# The trace text format end to end: the writer's bytes (85 872 events,
+# 4 455 407 bytes) and what the reader makes of them.  Unit tests compare
+# the writer and reader with their previous Printf and split_on_char
+# spellings; these digests catch a change to either that alters a byte
+# of a real trace.  On a mismatch both files are kept for diffing.
+trace_md5=b28d0413b9b1e98b1a9030c9f826bc34
+trace_live_md5=50930d8b04748f0e324ee2e6b8b54110
+
+trace_format_digests() {
+  _out=$(mktemp -d)
+  dune exec --profile release bin/pftk.exe -- simulate \
+    --dump-trace "$_out/trace" --duration 3600 --seed 42 --loss 0.02 >/dev/null
+  dune exec --profile release bin/pftk.exe -- live --trace "$_out/trace" >"$_out/live"
+  _md5=$(md5_of "$_out/trace")
+  _live_md5=$(md5_of "$_out/live")
+  if [ "$_md5" != "$trace_md5" ] || [ "$_live_md5" != "$trace_live_md5" ]; then
+    say "trace MD5 $_md5 (expected $trace_md5), live stdout MD5 $_live_md5 (expected $trace_live_md5); kept in $_out"
+    return 1
+  fi
+  rm -r "$_out"
+}
+
+phase "trace format: pftk simulate --dump-trace and live --trace, pinned digests" \
+  trace_format_digests
 
 # Speedup floors are deliberately below the measured steady-state values
 # (eq. (33): ~4.3x vs its own scalar, ~13x vs the scalar full model;
