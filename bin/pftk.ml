@@ -66,15 +66,18 @@ let model_arg =
   in
   Arg.(value & opt string "full" & info [ "model" ] ~docv:"MODEL" ~doc)
 
+(* A flag value the front end or the libraries reject: its message and
+   exit 2, the code for bad arguments, instead of an uncaught exception. *)
+let bad_argument msg =
+  Format.eprintf "pftk: %s@." msg;
+  exit 2
+
 (* [f ()], where an [Invalid_argument] means a flag value the libraries
-   reject: its message and exit 2, the code for bad arguments, instead of
-   an uncaught exception. *)
+   reject. *)
 let checked f =
   match f () with
   | v -> v
-  | exception Invalid_argument msg ->
-      Format.eprintf "pftk: %s@." msg;
-      exit 2
+  | exception Invalid_argument msg -> bad_argument msg
 
 let make_params ~rtt ~t0 ~b ~wm =
   checked (fun () ->
@@ -84,7 +87,7 @@ let make_params ~rtt ~t0 ~b ~wm =
 let parse_model name =
   match Model.of_name name with
   | Some kind -> kind
-  | None -> failwith (Printf.sprintf "unknown model %S" name)
+  | None -> bad_argument (Printf.sprintf "unknown model %S" name)
 
 (* Trace files come from users; fail with a message and a nonzero exit
    instead of a backtrace when one is unreadable, malformed, or empty. *)
@@ -117,7 +120,7 @@ let rate_cmd =
   let run rtt t0 b wm p model =
     let params = make_params ~rtt ~t0 ~b ~wm in
     let kind = parse_model model in
-    let rate = Model.send_rate kind params p in
+    let rate = checked (fun () -> Model.send_rate kind params p) in
     Format.fprintf ppf "%s model, %a, p=%g:@.  %.4f packets/s@."
       (Model.name kind) Params.pp params p rate
   in
@@ -128,7 +131,7 @@ let rate_cmd =
 let throughput_cmd =
   let run rtt t0 b wm p =
     let params = make_params ~rtt ~t0 ~b ~wm in
-    let b_rate = Full_model.send_rate params p in
+    let b_rate = checked (fun () -> Full_model.send_rate params p) in
     let t_rate = Throughput.throughput params p in
     Format.fprintf ppf
       "%a, p=%g:@.  send rate B = %.4f pkt/s@.  throughput T = %.4f pkt/s@.  \
@@ -179,7 +182,7 @@ let latency_cmd =
   in
   let run rtt t0 b wm p packets =
     let params = make_params ~rtt ~t0 ~b ~wm in
-    let phases = Short_flow.expected_latency params ~p ~packets in
+    let phases = checked (fun () -> Short_flow.expected_latency params ~p ~packets) in
     Format.fprintf ppf
       "short-flow latency, %a, p=%g, %d packets:@.  handshake %.3fs  slow-start %.3fs  recovery %.3fs  cong-avoidance %.3fs  delayed-ack %.3fs@.  total %.3f s  (%.2f pkt/s effective; bulk model: %.2f pkt/s)@."
       Params.pp params p packets phases.Short_flow.handshake
@@ -195,6 +198,7 @@ let latency_cmd =
 
 let tfrc_cmd =
   let run rtt p seed =
+    checked (fun () -> Params.check_p p);
     let controller = Tfrc.Controller.create () in
     let rng = Pftk_stats.Rng.create ~seed () in
     Format.fprintf ppf "TFRC controller under p=%g, RTT=%gs:@." p rtt;
@@ -246,7 +250,7 @@ let simulate_cmd =
   let run rtt t0 b wm p seed duration dump live =
     let params = make_params ~rtt ~t0 ~b ~wm in
     let rng = Pftk_stats.Rng.create ~seed () in
-    let loss = Pftk_loss.Loss_process.round_correlated rng ~p in
+    let loss = checked (fun () -> Pftk_loss.Loss_process.round_correlated rng ~p) in
     (* Buffering is only needed to dump the trace afterwards; the live
        predictor consumes events as a recorder subscriber either way. *)
     let recorder =
@@ -370,7 +374,7 @@ let live_cmd =
           fail_trace path "trace contains no events"
     | None ->
         let rng = Pftk_stats.Rng.create ~seed () in
-        let loss = Pftk_loss.Loss_process.round_correlated rng ~p in
+        let loss = checked (fun () -> Pftk_loss.Loss_process.round_correlated rng ~p) in
         let recorder = Pftk_trace.Recorder.create ~buffered:false () in
         Pftk_trace.Recorder.subscribe recorder sink;
         ignore
@@ -482,12 +486,16 @@ let parse_batch_model ~t0_factor name =
       | Some Model.Approximate -> Pftk_batch.Kernel.Approximate
       | Some Model.Td_only -> Pftk_batch.Kernel.Td_only
       | Some _ ->
-          failwith
+          bad_argument
             (Printf.sprintf
                "model %S has no batch kernel (batch models: full, \
                 full-approx-q, approximate, td-only, tfrc)"
                name)
-      | None -> failwith (Printf.sprintf "unknown model %S" name))
+      | None -> bad_argument (Printf.sprintf "unknown model %S" name))
+
+let batch_kernel ~b ~t0_factor name =
+  let model = parse_batch_model ~t0_factor name in
+  checked (fun () -> Pftk_batch.Kernel.make ~b model)
 
 let serve_cmd =
   let file_arg =
@@ -511,7 +519,7 @@ let serve_cmd =
   in
   let run model b t0_factor file batch scalar jobs chunk =
     ignore batch;
-    let kernel = Pftk_batch.Kernel.make ~b (parse_batch_model ~t0_factor model) in
+    let kernel = batch_kernel ~b ~t0_factor model in
     let ic =
       match file with
       | None -> stdin
@@ -522,7 +530,8 @@ let serve_cmd =
             exit 2)
     in
     let outcome =
-      Pftk_batch.Stream.run ~jobs ~chunk ~scalar kernel ic stdout ~err:stderr
+      checked (fun () ->
+          Pftk_batch.Stream.run ~jobs ~chunk ~scalar kernel ic stdout ~err:stderr)
     in
     (match file with Some _ -> close_in ic | None -> ());
     if
@@ -573,13 +582,12 @@ let bench_batch_cmd =
       value & opt (some string) None & info [ "scalar-model" ] ~docv:"MODEL" ~doc)
   in
   let run model scalar_model b t0_factor rows jobs min_speedup =
-    if rows < 1 then failwith "--rows must be >= 1";
-    let kernel = Pftk_batch.Kernel.make ~b (parse_batch_model ~t0_factor model) in
+    if rows < 1 then bad_argument "--rows must be >= 1";
+    let kernel = batch_kernel ~b ~t0_factor model in
     let scalar_kernel =
       match scalar_model with
       | None -> kernel
-      | Some name ->
-          Pftk_batch.Kernel.make ~b (parse_batch_model ~t0_factor name)
+      | Some name -> batch_kernel ~b ~t0_factor name
     in
     (* Deterministic synthetic workload spanning both regimes of
        eq. (32): log-spaced p, a spread of RTTs, and a window cycle

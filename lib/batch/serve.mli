@@ -16,7 +16,10 @@
     printed with ["%.17g"] (round-trips the double exactly), or the
     sentinel ["nan"] for a rejected line.  Rejections (parse failures
     and out-of-domain values) are reported on stderr as
-    ["pftk serve: line %d: <message>"] without aborting the stream. *)
+    ["pftk serve: line %d: <message>"] without aborting the stream.
+
+    The scanner and the writer work on bytes in place; {!parse_line} and
+    {!format_rate} are the same code applied to one string. *)
 
 type query = {
   p : float; [@pftk.unit "prob"]  (** loss probability, dimensionless *)
@@ -28,15 +31,34 @@ type query = {
 val max_line_bytes : int
 (** 4096: longer lines are rejected (never evaluated) with a
     ["line exceeds %d bytes (got %d)"] diagnostic naming the observed
-    length, bounding per-line work for untrusted input.  A line of
-    exactly [max_line_bytes] bytes is still accepted. *)
+    length, bounding per-line work and memory for untrusted input: the
+    stream counts the bytes of such a line without keeping them.  A line
+    of exactly [max_line_bytes] bytes is still accepted. *)
+
+val too_long : int -> string
+(** The diagnostic for a line of [n > max_line_bytes] bytes. *)
 
 val sentinel : string
 (** ["nan"]: the output line for a rejected input line. *)
 
+val max_rate_bytes : int
+(** 24: the longest text {!write_rate} writes. *)
+
+val write_rate : Bytes.t -> int -> float -> int
+[@@pftk.unit "_ -> _ -> pkt/s -> _"]
+(** [write_rate b pos r] writes [r] as ["%.17g"] spells it to [b] from
+    [pos] on and returns the position after it; [b] must have
+    {!max_rate_bytes} bytes of room. *)
+
 val format_rate : float -> string
 [@@pftk.unit "pkt/s -> _"]
 (** ["%.17g"] — shortest text that round-trips the exact double. *)
+
+val scan_line : Bytes.t -> int -> int -> Columns.t -> int -> (unit, string) result
+(** [scan_line s lo hi c j] reads the line [s.[lo .. hi-1]] (no
+    newline) into row [j] of [c], bypassing {!Columns.set}: the caller
+    owns the dirty flag.  On [Error], row [j] may hold some of the
+    line's fields.  Syntax only, as {!parse_line}. *)
 
 val parse_line : string -> (query, string) result
 (** Syntax only; domain checking is {!Scan.check_row}'s job (so the

@@ -236,25 +236,44 @@ let test_cli_corrupt_trace () =
 (* Path parameters the model rejects are bad arguments: a one-line
    message and exit 2, never an uncaught exception (exit 125). *)
 let test_cli_bad_path_parameters () =
-  List.iter
-    (fun (args, reason) ->
-      let code =
-        Sys.command
-          (Printf.sprintf "../bin/pftk.exe %s --duration 1 1>/dev/null 2>cli_stderr.txt" args)
-      in
-      Alcotest.(check int) (args ^ ": exit 2") 2 code;
-      Alcotest.(check string) (args ^ ": message") ("pftk: " ^ reason ^ "\n")
-        (read_file "cli_stderr.txt"))
+  let rejects ~suffix (args, reason) =
+    let code =
+      Sys.command
+        (Printf.sprintf "../bin/pftk.exe %s %s </dev/null 1>/dev/null 2>cli_stderr.txt" args
+           suffix)
+    in
+    Alcotest.(check int) (args ^ ": exit 2") 2 code;
+    Alcotest.(check string) (args ^ ": message") ("pftk: " ^ reason ^ "\n")
+      (read_file "cli_stderr.txt")
+  in
+  List.iter (rejects ~suffix:"--duration 1")
     [
       ("live --t0 0", "Params: t0 must be positive");
       ("live --rtt nan", "Params: rtt must be positive");
       ("live -b 0", "Params: b must be >= 1");
       ("live --interval 0", "Predictor.create: interval must be positive");
+      ("live -p 2", "Loss_process.round_correlated: p outside [0, 1)");
+      ("simulate -p 2", "Loss_process.round_correlated: p outside [0, 1)");
     ];
-  let code = Sys.command "../bin/pftk.exe rate --t0 0 1>/dev/null 2>cli_stderr.txt" in
-  Alcotest.(check int) "rate --t0 0: exit 2" 2 code;
-  Alcotest.(check string) "rate --t0 0: message" "pftk: Params: t0 must be positive\n"
-    (read_file "cli_stderr.txt")
+  (* Subcommands without --duration. *)
+  List.iter (rejects ~suffix:"")
+    [
+      ("rate --t0 0", "Params: t0 must be positive");
+      ("rate -p 2", "loss probability p=2 outside (0, 1)");
+      ("rate --model bogus", "unknown model \"bogus\"");
+      ("throughput -p nan", "loss probability p=nan outside (0, 1)");
+      ("latency -p 2", "loss probability p=2 outside (0, 1)");
+      ("tfrc -p 2", "loss probability p=2 outside (0, 1)");
+      ("serve --chunk 0", "Batch.Stream.run: chunk must be >= 1");
+      ("serve -b 0", "Batch.Kernel.make: b must be >= 1");
+      ("serve --model tfrc --t0-factor nan", "Batch.Kernel.make: t0_factor must be positive");
+      ("serve --model bogus", "unknown model \"bogus\"");
+      ( "serve --model markov",
+        "model \"markov\" has no batch kernel (batch models: full, full-approx-q, \
+         approximate, td-only, tfrc)" );
+      ("bench-batch --model bogus", "unknown model \"bogus\"");
+      ("bench-batch --rows 0", "--rows must be >= 1");
+    ]
 
 let test_cli_selfcheck_smoke () =
   let code =

@@ -37,10 +37,14 @@
 #                             `pftk simulate --dump-trace` and the
 #                             stdout of `pftk live --trace` replaying
 #                             it must match their pinned digests
-#  10. batch smoke         -- timed bench-batch runs on the release
+#  10. serve format        -- a generated 200 000-line query stream
+#                             through `pftk serve --batch`: the input,
+#                             stdout and stderr must match their
+#                             pinned digests
+#  11. batch smoke         -- timed bench-batch runs on the release
 #                             binary asserting the batch engine's
 #                             speedup floors and bitwise equality
-#  11. meanfield smoke     -- the mean-field backend on the release
+#  12. meanfield smoke     -- the mean-field backend on the release
 #                             binary: a 100000-flow RED equilibrium
 #                             held to a sub-second solver budget, and
 #                             the quick netsim cross-validation
@@ -154,6 +158,69 @@ trace_format_digests() {
 
 phase "trace format: pftk simulate --dump-trace and live --trace, pinned digests" \
   trace_format_digests
+
+# The serve text format end to end: what `pftk serve --batch` prints for
+# a 200 000-line stream (4 549 482 bytes) and which lines it rejects.
+# Unit tests compare the scanner, the writer and the stream with their
+# previous split_fields, float_of_string and Printf spellings; these
+# digests catch a change to any of them that alters a byte.  The stream
+# mixes the decimal spellings the scanner decodes itself with the ones it
+# leaves to float_of_string (+, E, 0x, _), rates on both sides of the
+# writer's fast range (1.8e+23, 9.7e-08), and all seven rejection routes
+# (1 804 lines).  The awk script uses integers only, so every awk should
+# write the same bytes; the input digest is checked first, so one that
+# does not says so.  On a mismatch the files are kept for diffing.
+serve_input_md5=9d88e6cd03b7462f7b664f63baf81e73
+serve_stdout_md5=cc74947d9c20149f8f8a70209fe04397
+serve_stderr_md5=a4897c7b13b201e4a5467b412911fc6e
+
+serve_stream() {
+  awk 'BEGIN {
+    for (i = 1; i <= 200000; i++) {
+      if (i % 97 == 0) {
+        k = int(i / 97) % 8
+        if (k == 0) print "0.01 0.2 2"
+        else if (k == 1) print "1.5 0.2 2 8"
+        else if (k == 2) print "0.01 -0.2 2 8"
+        else if (k == 3) print "0.01 0.2 2 8.5"
+        else if (k == 4) print "nan 0.2 2 8"
+        else if (k == 5) print ""
+        else if (k == 6) print "0.01 0.2 x2 8"
+        else printf "0.01\t0.2  2 8\r\n"
+      } else if (i % 1009 == 0) {
+        printf "%d.%03de-3 1e-%d 1e-%d 0\n", 1 + i % 9, i % 1000, 18 + i % 5, 17 + i % 5
+      } else if (i % 1013 == 0) {
+        printf "%d.%03de-3 1e+%d 1e+%d 0\n", 1 + i % 9, i % 1000, 6 + i % 3, 7 + i % 3
+      } else if (i % 11 == 0) {
+        printf "+%d.%03dE-%d 0x1p-%d %d.%02d 1_0%d\n", 1 + i % 9, (i * 7919) % 1000, 1 + i % 4, 1 + i % 6, 1 + i % 7, (i * 31) % 100, i % 10
+      } else {
+        printf "%d.%03de-%d 0.%03d %d.%02d %d\n", 1 + i % 9, (i * 7919) % 1000, 1 + i % 4, 10 + (i * 104729) % 990, 1 + i % 7, (i * 31) % 100, (i % 4 == 0) ? 0 : 8 * (i % 5)
+      }
+    }
+  }'
+}
+
+serve_format_digests() {
+  _out=$(mktemp -d)
+  serve_stream >"$_out/input"
+  _md5=$(md5_of "$_out/input")
+  if [ "$_md5" != "$serve_input_md5" ]; then
+    say "serve input MD5 $_md5, expected $serve_input_md5: this awk writes another stream; kept in $_out"
+    return 1
+  fi
+  dune exec --profile release bin/pftk.exe -- serve --batch --file "$_out/input" \
+    >"$_out/stdout" 2>"$_out/stderr"
+  _out_md5=$(md5_of "$_out/stdout")
+  _err_md5=$(md5_of "$_out/stderr")
+  if [ "$_out_md5" != "$serve_stdout_md5" ] || [ "$_err_md5" != "$serve_stderr_md5" ]; then
+    say "serve stdout MD5 $_out_md5 (expected $serve_stdout_md5), stderr MD5 $_err_md5 (expected $serve_stderr_md5); kept in $_out"
+    return 1
+  fi
+  rm -r "$_out"
+}
+
+phase "serve format: pftk serve --batch on a generated stream, pinned digests" \
+  serve_format_digests
 
 # Speedup floors are deliberately below the measured steady-state values
 # (eq. (33): ~4.3x vs its own scalar, ~13x vs the scalar full model;
