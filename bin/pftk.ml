@@ -22,9 +22,9 @@ let b_arg =
 
 let wm_arg =
   let doc =
-    "Receiver-advertised maximum window, packets.  $(docv) = 0 (the \
-     default) means unlimited: the window-limit term of eq. (31)/(32) is \
-     disabled and the models reduce to their unconstrained forms."
+    "Receiver-advertised maximum window, packets.  $(docv) <= 0 (0 is \
+     the default) means unlimited: the window-limit term of eq. (31)/(32) \
+     is disabled and the models reduce to their unconstrained forms."
   in
   Arg.(value & opt int 0 & info [ "wm" ] ~docv:"PACKETS" ~doc)
 
@@ -265,8 +265,9 @@ let simulate_cmd =
         (Pftk_online.Predictor.sink predictor)
     end;
     let result =
-      Pftk_tcp.Round_sim.run ~seed ~recorder ~duration ~loss
-        (Pftk_tcp.Round_sim.config_of_params params)
+      checked (fun () ->
+          Pftk_tcp.Round_sim.run ~seed ~recorder ~duration ~loss
+            (Pftk_tcp.Round_sim.config_of_params params))
     in
     (match dump with
     | Some path ->
@@ -378,8 +379,9 @@ let live_cmd =
         let recorder = Pftk_trace.Recorder.create ~buffered:false () in
         Pftk_trace.Recorder.subscribe recorder sink;
         ignore
-          (Pftk_tcp.Round_sim.run ~seed ~recorder ~duration ~loss
-             (Pftk_tcp.Round_sim.config_of_params params)
+          (checked (fun () ->
+               Pftk_tcp.Round_sim.run ~seed ~recorder ~duration ~loss
+                 (Pftk_tcp.Round_sim.config_of_params params))
             : Pftk_tcp.Round_sim.result));
     Format.fprintf ppf "final: %a@." Pftk_online.Predictor.pp_snapshot
       (Pftk_online.Predictor.snapshot predictor);
@@ -652,15 +654,25 @@ let bench_batch_cmd =
         exit 1
       end
     done;
+    (* Minor words a jobs=1 pass allocates per row: 0 when the core
+       bodies are expanded in the kernel loops, which takes a build
+       without -opaque (the release profile, not dune's dev profile). *)
+    let words_per_row =
+      let before = Gc.minor_words () in
+      Pftk_batch.Engine.run_into ~jobs:1 kernel cols out;
+      (Gc.minor_words () -. before) /. float_of_int rows
+    in
     let speedup = batch1_rate /. scalar_rate in
     Format.fprintf ppf
       "batch-bench: model=%s b=%d rows=%d@.  scalar (%s): %.3g evals/s@.  \
        batch jobs=1: %.3g evals/s  (%.2fx vs scalar)@.  batch jobs=%d: %.3g \
-       evals/s@.  bitwise check: OK (%d rows)@."
+       evals/s@.  bitwise check: OK (%d rows)@.  batch jobs=1 minor words \
+       per row: %g@."
       (Pftk_batch.Kernel.name kernel)
       b rows
       (Pftk_batch.Kernel.name scalar_kernel)
-      scalar_rate batch1_rate speedup jobs batchj_rate check_rows;
+      scalar_rate batch1_rate speedup jobs batchj_rate check_rows
+      words_per_row;
     if min_speedup > 0. && speedup < min_speedup then begin
       Format.eprintf
         "pftk bench-batch: speedup %.2fx below required %.2fx@." speedup
@@ -880,8 +892,8 @@ let meanfield_cmd =
   in
   let buffer_arg =
     let doc =
-      "Buffer hard limit, packets.  0 (the default) sizes it to one \
-       bandwidth-delay product."
+      "Buffer hard limit, packets.  $(docv) <= 0 (0 is the default) sizes \
+       it to one bandwidth-delay product, at least 8 packets."
     in
     Arg.(value & opt int 0 & info [ "buffer" ] ~docv:"PACKETS" ~doc)
   in
@@ -897,11 +909,11 @@ let meanfield_cmd =
       & info [ "law" ] ~docv:"LAW" ~doc)
   in
   let red_min_arg =
-    let doc = "RED minimum threshold, packets (default: buffer/6)." in
+    let doc = "RED minimum threshold, packets; <= 0 (the default) means buffer/6." in
     Arg.(value & opt float 0. & info [ "red-min" ] ~docv:"PACKETS" ~doc)
   in
   let red_max_arg =
-    let doc = "RED maximum threshold, packets (default: buffer/2)." in
+    let doc = "RED maximum threshold, packets; <= 0 (the default) means buffer/2." in
     Arg.(value & opt float 0. & info [ "red-max" ] ~docv:"PACKETS" ~doc)
   in
   let red_maxp_arg =
@@ -937,7 +949,8 @@ let meanfield_cmd =
   let max_solver_seconds_arg =
     let doc =
       "Fail (exit 1) when the equilibrium solve takes longer than $(docv) \
-       wall-clock seconds; 0 disables the check.  CI uses this to hold the \
+       wall-clock seconds; 0 (the default) disables the check, and a \
+       negative or NaN $(docv) is rejected.  CI uses this to hold the \
        scale promise: equilibria for 100000+ flows in well under a second."
     in
     Arg.(value & opt float 0. & info [ "max-solver-seconds" ] ~docv:"SECONDS" ~doc)
@@ -953,6 +966,8 @@ let meanfield_cmd =
   let run flows capacity base_rtt buffer law red_min red_max red_maxp
       red_weight constant_p rate_law damping b wm equilibrium_only
       max_solver_seconds cross_validate seed quick jobs =
+    if not (max_solver_seconds >= 0.) then
+      bad_argument "--max-solver-seconds must be >= 0";
     if cross_validate then begin
       let scenarios =
         if quick then Pftk_experiments.Meanfield_xval.quick_scenarios
@@ -967,15 +982,16 @@ let meanfield_cmd =
         else Int.max 8 (int_of_float (capacity *. base_rtt))
       in
       let law =
-        match law with
-        | `Droptail -> Queue_law.drop_tail ~capacity:buffer
-        | `Constant -> Queue_law.constant ~p:constant_p
-        | `Red ->
-            let bf = float_of_int buffer in
-            let min_threshold = if red_min > 0. then red_min else bf /. 6. in
-            let max_threshold = if red_max > 0. then red_max else bf /. 2. in
-            Queue_law.red ~weight:red_weight ~max_probability:red_maxp
-              ~capacity:buffer ~min_threshold ~max_threshold ()
+        checked (fun () ->
+            match law with
+            | `Droptail -> Queue_law.drop_tail ~capacity:buffer
+            | `Constant -> Queue_law.constant ~p:constant_p
+            | `Red ->
+                let bf = float_of_int buffer in
+                let min_threshold = if red_min > 0. then red_min else bf /. 6. in
+                let max_threshold = if red_max > 0. then red_max else bf /. 2. in
+                Queue_law.red ~weight:red_weight ~max_probability:red_maxp
+                  ~capacity:buffer ~min_threshold ~max_threshold ())
       in
       let cfg =
         {
@@ -987,7 +1003,7 @@ let meanfield_cmd =
         }
       in
       let t_start = Unix.gettimeofday () in
-      let eq = Solver.solve cfg in
+      let eq = checked (fun () -> Solver.solve cfg) in
       let solver_seconds = Unix.gettimeofday () -. t_start in
       Format.fprintf ppf "Mean-field equilibrium (%d flows)@." flows;
       Format.fprintf ppf "  law: %s@."

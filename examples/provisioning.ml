@@ -1,6 +1,6 @@
 (* Link provisioning with the model: the operator-side application.
 
-   Given a bottleneck's capacity, buffer and base RTT, the fixed-point
+   Given a bottleneck's capacity, buffer and base RTT, the mean-field
    solver predicts the equilibrium loss rate and per-flow goodput for any
    number of competing TCP flows -- and inverts the relation to size the
    buffer for a loss budget.  The analytic answers are checked against the
@@ -8,13 +8,14 @@
 
    Run with:  dune exec examples/provisioning.exe *)
 
-open Pftk_core
 module SB = Pftk_tcp.Shared_bottleneck
+module Solver = Pftk_meanfield.Solver
 
 let capacity_bytes = 1_250_000.
 let packet = 1500.
 let capacity = capacity_bytes /. packet (* packets/s *)
 let buffer = 64
+let law = Pftk_meanfield.Queue_law.drop_tail ~capacity:buffer
 let base_rtt = 0.0426 (* 2 x 20 ms propagation + serialization *)
 
 let () =
@@ -26,7 +27,11 @@ let () =
   List.iter
     (fun n ->
       let eq =
-        Fixed_point.solve ~wm:32 ~flows:n ~capacity ~buffer ~base_rtt ()
+        Solver.solve
+          {
+            (Solver.default ~flows:n ~capacity ~base_rtt ~law) with
+            Solver.wm = 32;
+          }
       in
       let sim =
         SB.run
@@ -39,8 +44,8 @@ let () =
       let sim_rate = mean (List.map (fun f -> f.SB.goodput) sim.SB.flows) in
       let sim_loss = mean (List.map (fun f -> f.SB.loss_rate) sim.SB.flows) in
       Format.printf "%-7d %12.4f %12.1f %10.2f %12.1f %12.4f@." n
-        eq.Fixed_point.p eq.Fixed_point.per_flow_rate
-        eq.Fixed_point.utilization sim_rate sim_loss)
+        eq.Solver.p eq.Solver.per_flow_rate eq.Solver.utilization sim_rate
+        sim_loss)
     [ 1; 2; 4; 8; 16; 32 ];
 
   (* How much buffer does a loss budget require as the user count grows? *)
@@ -49,8 +54,8 @@ let () =
   List.iter
     (fun n ->
       let needed =
-        Fixed_point.required_buffer ~target_p:0.01 ~flows:n ~capacity
-          ~base_rtt ()
+        Solver.required_buffer ~target_p:0.01
+          (Solver.default ~flows:n ~capacity ~base_rtt ~law)
       in
       Format.printf "%-7d %14d@." n needed)
     [ 8; 16; 32; 64; 128 ];

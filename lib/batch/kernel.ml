@@ -1,5 +1,5 @@
 type model = Full | Full_approx_q | Approximate | Td_only | Tfrc of float
-type t = { model : model; b : int }
+type t = { model : model; b : int; consts : Pftk_core.Tdonly.consts }
 
 let make ?(b = 2) model =
   if b < 1 then invalid_arg "Batch.Kernel.make: b must be >= 1";
@@ -7,7 +7,7 @@ let make ?(b = 2) model =
   | Tfrc t0_factor when not (t0_factor > 0.) ->
       invalid_arg "Batch.Kernel.make: t0_factor must be positive"
   | _ -> ());
-  { model; b }
+  { model; b; consts = Pftk_core.Tdonly.consts ~b }
 
 let name t =
   match t.model with
@@ -17,237 +17,68 @@ let name t =
   | Td_only -> "td-only"
   | Tfrc _ -> "tfrc"
 
-(* The loops below are written against a hard constraint of this build
-   (no flambda): a cross-function float argument is boxed, so even a
-   tiny [let f a b = ...] helper in the hot path costs 3x (measured:
-   89 -> 34 M evals/s for eq. 33).  Everything is therefore spelled
-   inline — [Float.min]/[Float.max] become two-way branches (safe here:
-   the scanned domain excludes NaN at every site where the stdlib
-   versions would differ), [Timeouts.f] is the literal polynomial, and
-   Q-hat shares one [log1p (-p)] per row.  Each expression reproduces
-   the scalar spelling operation for operation, so results are
-   bit-identical to the guarded scalar path (selfcheck C11). *)
+(* One loop per model, each row one call to the core's [_unchecked]
+   body, which is the guarded scalar arithmetic operation for operation
+   (selfcheck C11).  The bodies are [@inline], so in a build without
+   -opaque (the release profile) each call is expanded in place and no
+   float is boxed; the Q-hat variant is a literal, so the expanded body
+   has no per-row branch on it.  The [b] constants come with the kernel.
+   The loops are [@pftk.zero_alloc] and [*_unchecked], so pftk-flow
+   proves the contract: callers scan first (F1), no allocating construct
+   (F2), no raise (F3).  F2 resolves callees by path name, hence the
+   full paths. *)
 
-(* Each per-model loop is a toplevel [*_unchecked] function annotated
-   [@pftk.zero_alloc], so pftk-flow proves both halves of the kernel
-   contract: F1/F3 (callers must scan first; the loops never raise) and
-   F2 (no allocating construct in any loop body).  The per-model
-   constants are computed at function entry — once per chunk, outside
-   the rows loop, so the extraction is performance-neutral. *)
+let[@pftk.zero_alloc] full_rows_unchecked k pcol rcol tcol wcol ~pos ~len out =
+  for i = pos to pos + len - 1 do
+    Float.Array.unsafe_set out i
+      (Pftk_core.Full_model.send_rate_unchecked ~approx_q:false k
+         ~rtt:(Float.Array.unsafe_get rcol i)
+         ~t0:(Float.Array.unsafe_get tcol i)
+         ~wm:(Float.Array.unsafe_get wcol i)
+         (Float.Array.unsafe_get pcol i))
+  done
 
-let[@pftk.zero_alloc] full_rows_unchecked ~b pcol rcol tcol wcol ~pos ~len out
-    =
-  (* Eq. (32) with Q-hat of eq. (24), fused: E[W_u] computed once
-     per row and reused for the regime test and the taken branch. *)
-  let bf = float_of_int b in
-      let c1 = float_of_int (2 + b) /. (3. *. bf) in
-      let c1c1 = c1 *. c1 in
-      let c2 = float_of_int (2 + b) /. 6. in
-      let c2c2 = c2 *. c2 in
-      let t3b = 3. *. bf in
-      let k2b = 2. *. bf in
-      let b8 = bf /. 8. in
-      for i = pos to pos + len - 1 do
-        let p = Float.Array.unsafe_get pcol i in
-        let rtt = Float.Array.unsafe_get rcol i in
-        let t0 = Float.Array.unsafe_get tcol i in
-        let wmf = Float.Array.unsafe_get wcol i in
-        let omp = 1. -. p in
-        let ew = c1 +. sqrt ((8. *. omp /. (t3b *. p)) +. c1c1) in
-        let l = Float.log1p (-.p) in
-        let fp =
-          1.
-          +. (p
-             *. (1.
-                +. (p
-                   *. (2.
-                      +. (p
-                         *. (4.
-                            +. (p *. (8. +. (p *. (16. +. (p *. 32.)))))))))))
-        in
-        let v =
-          if ew >= wmf then begin
-            (* Window-limited: Q-hat at w = max 1 wm = wm (scan gives
-               wm >= 1). *)
-            let denom_q = -.Float.expm1 (wmf *. l) in
-            let qhat =
-              if denom_q <= 0. then begin
-                let a = 3. /. wmf in
-                if a < 1. then a else 1.
-              end
-              else begin
-                let q3 = exp (3. *. l) in
-                let numer_q =
-                  (1. -. q3)
-                  *. (1. +. (q3 *. -.Float.expm1 ((wmf -. 3.) *. l)))
-                in
-                let r = numer_q /. denom_q in
-                if r < 1. then r else 1.
-              end
-            in
-            let numer = (omp /. p) +. wmf +. (qhat /. omp) in
-            let denom =
-              (rtt *. ((b8 *. wmf) +. (omp /. (p *. wmf)) +. 2.))
-              +. (qhat *. t0 *. fp /. omp)
-            in
-            numer /. denom
-          end
-          else begin
-            let ex = c2 +. sqrt ((k2b *. omp /. (3. *. p)) +. c2c2) in
-            let w = if ew < 1. then 1. else ew in
-            let denom_q = -.Float.expm1 (w *. l) in
-            let qhat =
-              if denom_q <= 0. then begin
-                let a = 3. /. w in
-                if a < 1. then a else 1.
-              end
-              else begin
-                let q3 = exp (3. *. l) in
-                let numer_q =
-                  (1. -. q3) *. (1. +. (q3 *. -.Float.expm1 ((w -. 3.) *. l)))
-                in
-                let r = numer_q /. denom_q in
-                if r < 1. then r else 1.
-              end
-            in
-            let numer = (omp /. p) +. ew +. (qhat /. omp) in
-            let denom =
-              (rtt *. (ex +. 1.)) +. (qhat *. t0 *. fp /. omp)
-            in
-            numer /. denom
-          end
-        in
-        Float.Array.unsafe_set out i v
-      done
-
-let[@pftk.zero_alloc] full_approx_q_rows_unchecked ~b pcol rcol tcol wcol ~pos
+let[@pftk.zero_alloc] full_approx_q_rows_unchecked k pcol rcol tcol wcol ~pos
     ~len out =
-  (* Eq. (32) with the min(1, 3/w) Q-hat of eq. (25): no
-     transcendentals beyond the two square roots. *)
-  let bf = float_of_int b in
-      let c1 = float_of_int (2 + b) /. (3. *. bf) in
-      let c1c1 = c1 *. c1 in
-      let c2 = float_of_int (2 + b) /. 6. in
-      let c2c2 = c2 *. c2 in
-      let t3b = 3. *. bf in
-      let k2b = 2. *. bf in
-      let b8 = bf /. 8. in
-      for i = pos to pos + len - 1 do
-        let p = Float.Array.unsafe_get pcol i in
-        let rtt = Float.Array.unsafe_get rcol i in
-        let t0 = Float.Array.unsafe_get tcol i in
-        let wmf = Float.Array.unsafe_get wcol i in
-        let omp = 1. -. p in
-        let ew = c1 +. sqrt ((8. *. omp /. (t3b *. p)) +. c1c1) in
-        let fp =
-          1.
-          +. (p
-             *. (1.
-                +. (p
-                   *. (2.
-                      +. (p
-                         *. (4.
-                            +. (p *. (8. +. (p *. (16. +. (p *. 32.)))))))))))
-        in
-        let v =
-          if ew >= wmf then begin
-            let qhat =
-              let a = 3. /. wmf in
-              if a < 1. then a else 1.
-            in
-            let numer = (omp /. p) +. wmf +. (qhat /. omp) in
-            let denom =
-              (rtt *. ((b8 *. wmf) +. (omp /. (p *. wmf)) +. 2.))
-              +. (qhat *. t0 *. fp /. omp)
-            in
-            numer /. denom
-          end
-          else begin
-            let ex = c2 +. sqrt ((k2b *. omp /. (3. *. p)) +. c2c2) in
-            let w = if ew < 1. then 1. else ew in
-            let qhat =
-              let a = 3. /. w in
-              if a < 1. then a else 1.
-            in
-            let numer = (omp /. p) +. ew +. (qhat /. omp) in
-            let denom =
-              (rtt *. (ex +. 1.)) +. (qhat *. t0 *. fp /. omp)
-            in
-            numer /. denom
-          end
-        in
-        Float.Array.unsafe_set out i v
-      done
+  for i = pos to pos + len - 1 do
+    Float.Array.unsafe_set out i
+      (Pftk_core.Full_model.send_rate_unchecked ~approx_q:true k
+         ~rtt:(Float.Array.unsafe_get rcol i)
+         ~t0:(Float.Array.unsafe_get tcol i)
+         ~wm:(Float.Array.unsafe_get wcol i)
+         (Float.Array.unsafe_get pcol i))
+  done
 
-let[@pftk.zero_alloc] approximate_rows_unchecked ~b pcol rcol tcol wcol ~pos
+let[@pftk.zero_alloc] approximate_rows_unchecked k pcol rcol tcol wcol ~pos
     ~len out =
-  (* Eq. (33). *)
-  let bf = float_of_int b in
-      let k2b = 2. *. bf in
-      let t3b = 3. *. bf in
-      for i = pos to pos + len - 1 do
-        let p = Float.Array.unsafe_get pcol i in
-        let rtt = Float.Array.unsafe_get rcol i in
-        let t0 = Float.Array.unsafe_get tcol i in
-        let wmf = Float.Array.unsafe_get wcol i in
-        let cap = wmf /. rtt in
-        let td = rtt *. sqrt (k2b *. p /. 3.) in
-        (* [x /. 8. = x *. 0.125] bit-for-bit (8 and 1/8 are both exact,
-           so both operations round the same real value once) — and the
-           multiply stays off the divider unit, which this loop
-           saturates. *)
-        let m = 3. *. sqrt (t3b *. p *. 0.125) in
-        let mm = if m < 1. then m else 1. in
-        let tot = t0 *. mm *. p *. (1. +. (32. *. p *. p)) in
-        let r = 1. /. (td +. tot) in
-        Float.Array.unsafe_set out i (if cap < r then cap else r)
-      done
+  for i = pos to pos + len - 1 do
+    Float.Array.unsafe_set out i
+      (Pftk_core.Approx_model.send_rate_unchecked k
+         ~rtt:(Float.Array.unsafe_get rcol i)
+         ~t0:(Float.Array.unsafe_get tcol i)
+         ~wm:(Float.Array.unsafe_get wcol i)
+         (Float.Array.unsafe_get pcol i))
+  done
 
-let[@pftk.zero_alloc] td_only_rows_unchecked ~b pcol rcol ~pos ~len out =
-  (* Eq. (19), uncapped, matching [Model.send_rate Td_only]. *)
-  let bf = float_of_int b in
-      let c1 = float_of_int (2 + b) /. (3. *. bf) in
-      let c1c1 = c1 *. c1 in
-      let c2 = float_of_int (2 + b) /. 6. in
-      let c2c2 = c2 *. c2 in
-      let t3b = 3. *. bf in
-      let k2b = 2. *. bf in
-      for i = pos to pos + len - 1 do
-        let p = Float.Array.unsafe_get pcol i in
-        let rtt = Float.Array.unsafe_get rcol i in
-        let omp = 1. -. p in
-        let ew = c1 +. sqrt ((8. *. omp /. (t3b *. p)) +. c1c1) in
-        let ex = c2 +. sqrt ((k2b *. omp /. (3. *. p)) +. c2c2) in
-        Float.Array.unsafe_set out i
-          (((omp /. p) +. ew) /. (rtt *. (ex +. 1.)))
-      done
+(* Eq. (19), uncapped, as [Model.send_rate Td_only]. *)
+let[@pftk.zero_alloc] td_only_rows_unchecked k pcol rcol ~pos ~len out =
+  for i = pos to pos + len - 1 do
+    Float.Array.unsafe_set out i
+      (Pftk_core.Tdonly.send_rate_unchecked k
+         ~rtt:(Float.Array.unsafe_get rcol i)
+         (Float.Array.unsafe_get pcol i))
+  done
 
+(* Reads only the p and rtt columns. *)
 let[@pftk.zero_alloc] tfrc_rows_unchecked ~t0_factor pcol rcol ~pos ~len out =
-  (* [Tfrc.fair_rate]: eq. (33) at b = 2, no receiver window
-     (cap = unlimited/rtt can still bind for subnormal p), with
-     T0 = max 1e-3 (t0_factor * rtt).  Reads only the p and rtt
-     columns. *)
-  let bf = float_of_int 2 in
-      let k2b = 2. *. bf in
-      let t3b = 3. *. bf in
-      let wu = Columns.unlimited_wm in
-      for i = pos to pos + len - 1 do
-        let p = Float.Array.unsafe_get pcol i in
-        let rtt = Float.Array.unsafe_get rcol i in
-        let t0 =
-          let x = t0_factor *. rtt in
-          if x > 1e-3 then x else 1e-3
-        in
-        let cap = wu /. rtt in
-        let td = rtt *. sqrt (k2b *. p /. 3.) in
-        let m = 3. *. sqrt (t3b *. p *. 0.125) in
-        let mm = if m < 1. then m else 1. in
-        let tot = t0 *. mm *. p *. (1. +. (32. *. p *. p)) in
-        let r = 1. /. (td +. tot) in
-        Float.Array.unsafe_set out i (if cap < r then cap else r)
-      done
+  for i = pos to pos + len - 1 do
+    Float.Array.unsafe_set out i
+      (Pftk_core.Tfrc.fair_rate_unchecked ~t0_factor
+         ~rtt:(Float.Array.unsafe_get rcol i)
+         (Float.Array.unsafe_get pcol i))
+  done
 
-let eval_into { model; b } (c : Columns.t) ~pos ~len out =
+let eval_into { model; consts = k; _ } (c : Columns.t) ~pos ~len out =
   if pos < 0 || len < 0 || pos + len > c.Columns.n then
     invalid_arg "Batch.Kernel.eval_into: range out of bounds";
   if Float.Array.length out < pos + len then
@@ -257,29 +88,22 @@ let eval_into { model; b } (c : Columns.t) ~pos ~len out =
   and tcol = c.Columns.t0
   and wcol = c.Columns.wm in
   match model with
-  | Full -> full_rows_unchecked ~b pcol rcol tcol wcol ~pos ~len out
+  | Full -> full_rows_unchecked k pcol rcol tcol wcol ~pos ~len out
   | Full_approx_q ->
-      full_approx_q_rows_unchecked ~b pcol rcol tcol wcol ~pos ~len out
-  | Approximate -> approximate_rows_unchecked ~b pcol rcol tcol wcol ~pos ~len out
-  | Td_only -> td_only_rows_unchecked ~b pcol rcol ~pos ~len out
+      full_approx_q_rows_unchecked k pcol rcol tcol wcol ~pos ~len out
+  | Approximate -> approximate_rows_unchecked k pcol rcol tcol wcol ~pos ~len out
+  | Td_only -> td_only_rows_unchecked k pcol rcol ~pos ~len out
   | Tfrc t0_factor -> tfrc_rows_unchecked ~t0_factor pcol rcol ~pos ~len out
 
 let scalar_reference t ~p ~rtt ~t0 ~wm =
+  let send_rate kind =
+    Pftk_core.Model.send_rate kind
+      (Pftk_core.Params.make ~b:t.b ~wm:(Columns.wm_to_int wm) ~rtt ~t0 ())
+      p
+  in
   match t.model with
-  | Full ->
-      Pftk_core.Model.send_rate Pftk_core.Model.Full
-        (Pftk_core.Params.make ~b:t.b ~wm:(Columns.wm_to_int wm) ~rtt ~t0 ())
-        p
-  | Full_approx_q ->
-      Pftk_core.Model.send_rate Pftk_core.Model.Full_approx_q
-        (Pftk_core.Params.make ~b:t.b ~wm:(Columns.wm_to_int wm) ~rtt ~t0 ())
-        p
-  | Approximate ->
-      Pftk_core.Model.send_rate Pftk_core.Model.Approximate
-        (Pftk_core.Params.make ~b:t.b ~wm:(Columns.wm_to_int wm) ~rtt ~t0 ())
-        p
-  | Td_only ->
-      Pftk_core.Model.send_rate Pftk_core.Model.Td_only
-        (Pftk_core.Params.make ~b:t.b ~wm:(Columns.wm_to_int wm) ~rtt ~t0 ())
-        p
+  | Full -> send_rate Pftk_core.Model.Full
+  | Full_approx_q -> send_rate Pftk_core.Model.Full_approx_q
+  | Approximate -> send_rate Pftk_core.Model.Approximate
+  | Td_only -> send_rate Pftk_core.Model.Td_only
   | Tfrc t0_factor -> Pftk_core.Tfrc.fair_rate ~t0_factor ~rtt p

@@ -18,14 +18,11 @@ val send_rate_uncapped : rtt:float -> t0:float -> b:int -> float -> float
 [@@pftk.unit "s -> s -> _ -> prob -> pkt/s"]
 (** Eq. (30): without the [Wm/RTT] clamp. *)
 
-val send_rate_unchecked : Params.t -> float -> float
-[@@pftk.unit "_ -> prob -> pkt/s"]
-(** {!send_rate} without the domain guards (validated-input convention:
-    the caller vouches that [params] passes {!Params.validate} and
+val send_rate_unchecked :
+  Tdonly.consts -> rtt:float -> t0:float -> wm:float -> float -> float
+[@@pftk.unit "_ -> s -> s -> _ -> prob -> pkt/s"]
+(** {!send_rate} without the domain guards, on unboxed fields
+    (validated-input convention: the caller vouches that the fields
+    would pass {!Params.validate}, that [k] is the {!Tdonly.consts} of
+    their [b], that [wm] is [float_of_int] of their window, and that
     [0 < p < 1]).  Bit-identical to {!send_rate} on the domain. *)
-
-val send_rate_uncapped_unchecked :
-  rtt:float -> t0:float -> b:int -> float -> float
-[@@pftk.unit "s -> s -> _ -> prob -> pkt/s"]
-(** {!send_rate_uncapped} without the domain guards; same contract as
-    {!send_rate_unchecked}. *)

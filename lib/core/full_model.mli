@@ -18,12 +18,16 @@ val send_rate : ?q:Qhat.variant -> Params.t -> float -> float
     (default {!Qhat.Closed}, the paper's eq. 24); {!Qhat.Approximate} gives
     the [min(1, 3/w)] ablation. *)
 
-val send_rate_unchecked : ?q:Qhat.variant -> Params.t -> float -> float
-[@@pftk.unit "_ -> _ -> prob -> pkt/s"]
-(** {!send_rate} without the domain guards and without the duplicate
-    [E[W_u]] evaluation (validated-input convention: the caller vouches
-    that [params] passes {!Params.validate} and [0 < p < 1]).
-    Bit-identical to {!send_rate} on the domain. *)
+val send_rate_unchecked :
+  approx_q:bool -> Tdonly.consts -> rtt:float -> t0:float -> wm:float ->
+  float -> float
+[@@pftk.unit "_ -> _ -> s -> s -> _ -> prob -> pkt/s"]
+(** {!send_rate} without the domain guards, on unboxed fields, with
+    [E[W_u]] and [log (1-p)] each computed once: the per-row body of the
+    batch kernels.  Q-hat is eq. (24), or eq. (25) when [approx_q]
+    (as [~q:Qhat.Approximate]).  Validated-input convention, as
+    {!Approx_model.send_rate_unchecked}.  Bit-identical to {!send_rate}
+    on the domain. *)
 
 val send_rate_unconstrained : ?q:Qhat.variant -> Params.t -> float -> float
 [@@pftk.unit "_ -> _ -> prob -> pkt/s"]

@@ -29,10 +29,17 @@ let tcp_friendly_rate_simple params p =
   Params.check_p p;
   Approx_model.send_rate params p
 
-let loss_budget params ~rate =
-  let model p = Full_model.send_rate params p in
+(* Validates once, then bisects over the unchecked body: every loss the
+   searches visit lies in [lo, hi], inside (0, 1). *)
+let loss_budget (params : Params.t) ~rate =
+  Params.validate params;
+  let k = Tdonly.consts ~b:params.b and wm = float_of_int params.wm in
+  let model p =
+    Full_model.send_rate_unchecked ~approx_q:false k ~rtt:params.rtt
+      ~t0:params.t0 ~wm p
+  in
   let lo = 1e-9 and hi = 0.999 in
-  let limited p = Full_model.window_limited params p in
+  let limited p = Tdonly.e_w_unchecked k p >= wm in
   if not (limited lo) || limited hi then loss_for_rate ~lo ~hi model rate
   else begin
     (* Eq. (32) switches branches where E[W_u] falls to W_m, and the rate

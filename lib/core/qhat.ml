@@ -88,9 +88,3 @@ let eval variant ~p w =
   | Exact_sum -> exact ~p (Int.max 1 (int_of_float (Float.round w)))
   | Closed -> closed_form ~p w
   | Approximate -> approx w
-
-let eval_unchecked variant ~p w =
-  match variant with
-  | Exact_sum -> exact_unchecked ~p (Int.max 1 (int_of_float (Float.round w)))
-  | Closed -> closed_form_unchecked ~p w
-  | Approximate -> approx_unchecked w

@@ -43,26 +43,9 @@ val approx : float -> float
 [@@pftk.unit "_ -> prob"]
 (** Eq. (25): [min(1, 3/w)]. *)
 
-val closed_form_unchecked : p:float -> float -> float
-[@@pftk.unit "prob -> _ -> prob"]
-(** {!closed_form} without the domain guards (validated-input
-    convention: the caller vouches for [0 < p < 1] and [w >= 1]).
-    Bit-identical to {!closed_form} on the domain. *)
-
-val approx_unchecked : float -> float
-[@@pftk.unit "_ -> prob"]
-(** {!approx} without the [w >= 1] guard; same contract as
-    {!closed_form_unchecked}. *)
-
 type variant = Exact_sum | Closed | Approximate
 
 val eval : variant -> p:float -> float -> float
 [@@pftk.unit "_ -> prob -> _ -> prob"]
 (** Dispatch on the chosen evaluation; [Exact_sum] rounds [w] to the nearest
     integer [>= 1]. *)
-
-val eval_unchecked : variant -> p:float -> float -> float
-[@@pftk.unit "_ -> prob -> _ -> prob"]
-(** {!eval} without the domain guards ([Exact_sum] still validates
-    internally: the rounded integer path is not on the batch fast
-    path).  Bit-identical to {!eval} on the domain. *)

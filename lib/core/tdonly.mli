@@ -8,16 +8,32 @@
 
     All [p] arguments must satisfy [0 < p < 1] (checked). *)
 
+type consts = {
+  c_w : float; [@pftk.unit "1"]  (** [(2+b)/(3b)], the constant of eq. (13). *)
+  c_w2 : float; [@pftk.unit "1"]  (** Its square. *)
+  c_x : float; [@pftk.unit "1"]  (** [(2+b)/6], the constant of eq. (15). *)
+  c_x2 : float; [@pftk.unit "1"]  (** Its square. *)
+  two_b : float; [@pftk.unit "1"]  (** [2b]. *)
+  three_b : float; [@pftk.unit "1"]  (** [3b]. *)
+  b_8 : float; [@pftk.unit "1"]  (** [b/8], of eq. (32)'s limited branch. *)
+}
+(** The constants that depend on [b] alone, computed once per [b] so the
+    per-row [_unchecked] bodies (here, in {!Approx_model} and in
+    {!Full_model}) do not repeat their divisions. *)
+
+val consts : b:int -> consts
+(** [consts ~b] for [b >= 1] (unchecked). *)
+
 val e_w : b:int -> float -> float
 [@@pftk.unit "_ -> prob -> pkt"]
 (** Eq. (13): expected unconstrained window size at the end of a TDP,
     [E[W] = (2+b)/(3b) + sqrt(8(1-p)/(3bp) + ((2+b)/(3b))^2)]. *)
 
-val e_w_unchecked : b:int -> float -> float
+val e_w_unchecked : consts -> float -> float
 [@@pftk.unit "_ -> prob -> pkt"]
 (** {!e_w} without the domain guards (validated-input convention: the
-    caller vouches for [0 < p < 1] and [b >= 1]).  Bit-identical to
-    {!e_w} on the domain. *)
+    caller vouches for [0 < p < 1] and passes the {!consts} of a
+    [b >= 1]).  Bit-identical to {!e_w} on the domain. *)
 
 val e_w_asymptotic : b:int -> float -> float
 [@@pftk.unit "_ -> prob -> pkt"]
@@ -27,7 +43,7 @@ val e_x : b:int -> float -> float
 [@@pftk.unit "_ -> prob -> 1"]
 (** Eq. (15): expected number of rounds in a TDP. *)
 
-val e_x_unchecked : b:int -> float -> float
+val e_x_unchecked : consts -> float -> float
 [@@pftk.unit "_ -> prob -> 1"]
 (** {!e_x} without the domain guards; same contract as
     {!e_w_unchecked}. *)
@@ -48,8 +64,8 @@ val send_rate : rtt:float -> b:int -> float -> float
 [@@pftk.unit "s -> _ -> prob -> pkt/s"]
 (** Eq. (19): the exact TD-only send rate [E[Y] / E[A]], packets/second. *)
 
-val send_rate_unchecked : rtt:float -> b:int -> float -> float
-[@@pftk.unit "s -> _ -> prob -> pkt/s"]
+val send_rate_unchecked : consts -> rtt:float -> float -> float
+[@@pftk.unit "_ -> s -> prob -> pkt/s"]
 (** {!send_rate} without the domain guards (caller additionally vouches
     for [rtt > 0]).  Bit-identical to {!send_rate} on the domain. *)
 

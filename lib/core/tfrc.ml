@@ -101,17 +101,20 @@ end
    p): exactly what [Controller.equation_rate] computes, factored out so
    the batch engine can evaluate it columnwise.  [fair_rate_unchecked]
    follows the validated-input convention (caller vouches for
-   [t0_factor > 0], [rtt > 0] and [0 < p < 1]). *)
-let fair_rate_unchecked ~t0_factor ~rtt p =
-  (* Spelled without [Params.make] (whose validation raises): the same
-     window cap and uncapped rate [Approx_model.send_rate_unchecked]
-     would compute from [make ~rtt ~t0 ()]'s record — b = 2,
-     wm = unlimited_window — operation for operation, so the result is
-     bit-identical and the F3 no-raise contract holds. *)
-  let t0 = Float.max 1e-3 (t0_factor *. rtt) in
-  Float.min
-    (float_of_int Params.unlimited_window /. rtt)
-    (Approx_model.send_rate_uncapped_unchecked ~rtt ~t0 ~b:2 p)
+   [t0_factor > 0], [rtt > 0] and [0 < p < 1]) and is eq. (33) on the
+   fields [Params.make ~rtt ~t0 ()] would hold (b = 2, unlimited
+   window), spelled without [Params.make], whose validation raises, so
+   the F3 no-raise contract holds.  [Float.max] is a branch (they agree
+   off NaN). *)
+let b2 = Tdonly.consts ~b:2
+let unlimited_wm = float_of_int Params.unlimited_window
+
+let[@inline] [@pftk.zero_alloc] fair_rate_unchecked ~t0_factor ~rtt p =
+  let t0 =
+    let x = t0_factor *. rtt in
+    if x > 1e-3 then x else 1e-3
+  in
+  Approx_model.send_rate_unchecked b2 ~rtt ~t0 ~wm:unlimited_wm p
 
 let fair_rate ?(t0_factor = 4.) ~rtt p =
   Params.check_p p;

@@ -1,6 +1,6 @@
-(* Validated-input variant: callers (the batch engine's hoisted column
-   scan, the fused eq. (32) kernel) vouch for [0 < p < 1]. *)
-let f_unchecked p =
+(* Validated-input variant: callers (the fused eq. (32) body the batch
+   kernels call per row) vouch for [0 < p < 1]. *)
+let[@inline] [@pftk.zero_alloc] f_unchecked p =
   1. +. (p *. (1. +. (p *. (2. +. (p *. (4. +. (p *. (8. +. (p *. (16. +. (p *. 32.)))))))))))
 
 let f p =

@@ -80,5 +80,5 @@ val queue_for_drop : t -> p:float -> float
     (past the ramp the queue pins at the cliff and loss becomes
     demand-determined, exactly like drop-tail).  For drop-tail: 0 when
     [p <= 0], else half the buffer — the mean of the empty-to-full
-    sawtooth, the same [queue_fill = 0.5] convention as
-    [Pftk_core.Fixed_point.solve].  For [Constant]: 0. *)
+    sawtooth, which {!Solver.solve_drop_tail} also applies to the
+    buffer-provisioning equilibrium.  For [Constant]: 0. *)

@@ -49,6 +49,7 @@ type equilibrium = {
   outcome : outcome;
 }
 
+(* Everything but the law, which [solve_drop_tail] replaces. *)
 let validate cfg =
   if cfg.flows < 1 then invalid_arg "Solver.solve: flows must be >= 1";
   if not (cfg.capacity > 0.) then
@@ -63,8 +64,7 @@ let validate cfg =
   if cfg.max_iterations < 1 then
     invalid_arg "Solver.solve: max_iterations must be >= 1";
   if not (cfg.tolerance > 0.) then
-    invalid_arg "Solver.solve: tolerance must be positive";
-  Queue_law.validate cfg.law
+    invalid_arg "Solver.solve: tolerance must be positive"
 
 (* Loss probabilities the equilibrium search may visit.  [p_min] stands in
    for "no loss" (the formulas diverge at 0); [p_max] caps the bisection
@@ -72,8 +72,8 @@ let validate cfg =
 let p_min = 1e-7
 let p_max = 0.95
 
-let solve cfg =
-  validate cfg;
+(* The equilibrium of a validated [cfg] behind [law]. *)
+let equilibrium cfg law =
   let n = float_of_int cfg.flows in
   let wm_eff = if cfg.wm <= 0 then Params.unlimited_window else cfg.wm in
   let params_at rtt =
@@ -129,7 +129,7 @@ let solve cfg =
       outcome;
     }
   in
-  match cfg.law with
+  match law with
   | Queue_law.Constant p0 ->
       (* Open loop: the drop process is given, nothing couples back. *)
       let rtt = cfg.base_rtt in
@@ -155,7 +155,7 @@ let solve cfg =
         finish ~p:0. ~queue:0. ~iterations:0 ~residual:0. ~loop_gain:0.
           ~outcome:Converged
       else begin
-        let queue = Queue_law.queue_for_drop cfg.law ~p:1. in
+        let queue = Queue_law.queue_for_drop law ~p:1. in
         if rate (rtt_of queue) p_min <= fair then
           (* The queueing delay alone slows the flows to the fair share. *)
           finish ~p:0. ~queue ~iterations:0 ~residual:0. ~loop_gain:0.
@@ -169,7 +169,7 @@ let solve cfg =
         finish ~p:0. ~queue:0. ~iterations:0 ~residual:0. ~loop_gain:0.
           ~outcome:Converged
       else begin
-        let phi q = Queue_law.queue_for_drop cfg.law ~p:(p_needed q) in
+        let phi q = Queue_law.queue_for_drop law ~p:(p_needed q) in
         let trail_len = 16 in
         let trail = Array.make trail_len red.Queue_law.min_threshold in
         let q = ref red.Queue_law.min_threshold in
@@ -206,3 +206,41 @@ let solve cfg =
         finish ~p:(p_needed !q) ~queue:!q ~iterations:!iter
           ~residual:!residual ~loop_gain ~outcome
       end
+
+let solve cfg =
+  validate cfg;
+  Queue_law.validate cfg.law;
+  equilibrium cfg cfg.law
+
+(* [Queue_law.drop_tail] rejects an empty buffer; the equilibrium behind
+   one is the queue-free limit, which [required_buffer] probes. *)
+let solve_drop_tail cfg ~buffer =
+  if buffer < 0 then invalid_arg "Solver.solve_drop_tail: negative buffer";
+  validate cfg;
+  equilibrium cfg (Queue_law.Drop_tail buffer)
+
+let buffer_cap = 100_000
+
+let required_buffer ?(target_p = 0.01) cfg =
+  if not (target_p > 0. && target_p < 1.) then
+    invalid_arg "Solver.required_buffer: target_p outside (0, 1)";
+  (* Larger buffers inflate RTT, which slows the flows and lowers
+     equilibrium loss, so loss is monotone non-increasing in the buffer
+     size.  Bisect on whole packets: buffers are integers, and the loss is
+     a step function of the integer buffer — a continuous bisection can
+     converge inside a step and truncate to a buffer one packet short of
+     the target. *)
+  let loss_at buffer = (solve_drop_tail cfg ~buffer).p in
+  if loss_at 0 <= target_p then 0
+  else if loss_at buffer_cap > target_p then buffer_cap
+  else begin
+    (* Invariant: [loss_at lo > target_p >= loss_at hi]. *)
+    let rec bisect lo hi =
+      if hi - lo <= 1 then hi
+      else begin
+        let mid = lo + ((hi - lo) / 2) in
+        if loss_at mid > target_p then bisect mid hi else bisect lo mid
+      end
+    in
+    bisect 0 buffer_cap
+  end

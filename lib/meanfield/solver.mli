@@ -50,9 +50,9 @@ type config = {
 val default :
   flows:int -> capacity:float -> base_rtt:float -> law:Queue_law.t -> config
 [@@pftk.unit "_ -> pkt/s -> s -> _ -> _"]
-(** [b = 2], [wm] unlimited, full model, [t0_factor = 4] (as
-    {!Pftk_core.Fixed_point.solve}), [damping = 0.5],
-    [max_iterations = 200], [tolerance = 1e-6]. *)
+(** [b = 2], [wm] unlimited, full model, [t0_factor = 4] (the TFRC
+    rule, [T0 = 4 RTT]), [damping = 0.5], [max_iterations = 200],
+    [tolerance = 1e-6]. *)
 
 type outcome =
   | Converged
@@ -91,3 +91,25 @@ val solve : config -> equilibrium
     [max_iterations < 1], [tolerance <= 0], or the law fails
     {!Queue_law.validate}.  Never raises on a non-convergent law — that is
     the {!Oscillating} outcome. *)
+
+val solve_drop_tail : config -> buffer:int -> equilibrium
+(** [solve] with [cfg.law] replaced by a drop-tail buffer of [buffer]
+    packets, where [buffer = 0] (no queue: the equilibrium at
+    [base_rtt]) is allowed although {!Queue_law.drop_tail} rejects it.
+    The provisioning use of eq. (32): for [N] flows filling a link of
+    capacity [C], the RTT carries half the buffer
+    ({!Queue_law.queue_for_drop}) and the loss is whatever slows each
+    flow to [C/N].  Raises [Invalid_argument] as {!solve} does, and when
+    [buffer < 0]. *)
+
+val required_buffer : ?target_p:float -> config -> int
+[@@pftk.unit "prob -> _ -> _"]
+(** Smallest drop-tail buffer (whole packets) whose equilibrium loss
+    under {!solve_drop_tail} is at most [target_p] (default 0.01);
+    [cfg.law] is not used.  Round-trip guarantee:
+    [(solve_drop_tail cfg ~buffer:(required_buffer ~target_p cfg)).p
+    <= target_p] whenever any buffer up to 100_000 packets meets the
+    target.  Returns [0] when even an empty buffer does, and caps at
+    100_000 when none does (check the equilibrium there before trusting
+    the cap).  Raises [Invalid_argument] unless [0 < target_p < 1], and
+    on a [cfg] that {!solve_drop_tail} rejects. *)

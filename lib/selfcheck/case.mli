@@ -20,7 +20,7 @@ type t = {
   flows : int;  (** Provisioning scenario (C8): competing flows. *)
   capacity : float;  (** Bottleneck capacity, packets/s. *)
   base_rtt : float;  (** Two-way propagation delay, seconds. *)
-  fp_target_p : float;  (** Loss target for {!Pftk_core.Fixed_point.required_buffer}. *)
+  fp_target_p : float;  (** Loss target for {!Pftk_meanfield.Solver.required_buffer}. *)
   trace : Pftk_trace.Event.t list;
       (** Finite floats, non-decreasing times: safe for the analyzers. *)
   adversarial : Pftk_trace.Event.t list;

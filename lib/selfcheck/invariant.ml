@@ -2,6 +2,9 @@ module Params = Pftk_core.Params
 module Event = Pftk_trace.Event
 module Serialize = Pftk_trace.Serialize
 module Analyzer = Pftk_trace.Analyzer
+module Mf_solver = Pftk_meanfield.Solver
+module Mf_law = Pftk_meanfield.Queue_law
+module Mf_hist = Pftk_meanfield.Window_hist
 
 type verdict = Pass | Skip of string | Fail of string
 
@@ -160,23 +163,21 @@ let buffer_cap = 100_000
 
 let required_buffer (c : Case.t) =
   let { Case.flows; capacity; base_rtt; fp_target_p; _ } = c in
-  let solve buffer =
-    Pftk_core.Fixed_point.solve ~flows ~capacity ~buffer ~base_rtt ()
+  let cfg =
+    Mf_solver.default ~flows ~capacity ~base_rtt
+      ~law:(Mf_law.drop_tail ~capacity:buffer_cap)
   in
-  let at_cap = solve buffer_cap in
-  if at_cap.Pftk_core.Fixed_point.p > fp_target_p then
+  let at_cap = Mf_solver.solve cfg in
+  if at_cap.Mf_solver.p > fp_target_p then
     skipf "target p=%h unreachable: even buffer=%d leaves p=%h" fp_target_p
-      buffer_cap at_cap.Pftk_core.Fixed_point.p
+      buffer_cap at_cap.Mf_solver.p
   else begin
-    let buffer =
-      Pftk_core.Fixed_point.required_buffer ~target_p:fp_target_p ~flows
-        ~capacity ~base_rtt ()
-    in
-    let eq = solve buffer in
-    if le ~tol:1e-6 eq.Pftk_core.Fixed_point.p fp_target_p then Pass
+    let buffer = Mf_solver.required_buffer ~target_p:fp_target_p cfg in
+    let eq = Mf_solver.solve_drop_tail cfg ~buffer in
+    if le ~tol:1e-6 eq.Mf_solver.p fp_target_p then Pass
     else
       failf "buffer %d said sufficient but equilibrium p=%.17g > target %.17g"
-        buffer eq.Pftk_core.Fixed_point.p fp_target_p
+        buffer eq.Mf_solver.p fp_target_p
   end
 
 let summaries_eq ~at (stream : Analyzer.summary) (posthoc : Analyzer.summary) =
@@ -398,10 +399,6 @@ let batch_scalar_equiv (c : Case.t) =
       List.fold_left check_model Pass models
 
 (* --- C12: mean-field degenerate limits ----------------------------------- *)
-
-module Mf_solver = Pftk_meanfield.Solver
-module Mf_law = Pftk_meanfield.Queue_law
-module Mf_hist = Pftk_meanfield.Window_hist
 
 (* Two degenerate corners tie the mean-field backend to the closed-form
    model.  (A) One flow behind a constant drop law on an unconstrained

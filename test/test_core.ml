@@ -878,6 +878,151 @@ let test_loss_history_vs_online_p () =
   check_float ~eps:0. "tfrc rate is exactly 0.02" 0.02 tfrc_rate;
   check_float ~eps:0. "online p equals tfrc rate" tfrc_rate online_p
 
+(* --- Oracles: the previous per-row bodies --------------------------------- *)
+
+(* The [_unchecked] bodies of Approx_model, Tdonly and Tfrc and
+   [Inverse.loss_budget] as they were before the batch kernels called
+   the core bodies per row, verbatim.  The re-spelled bodies must match
+   them bit for bit. *)
+module Oracle = struct
+  let approx_send_rate_uncapped_unchecked ~rtt ~t0 ~b p =
+    let bf = float_of_int b in
+    let td_term = rtt *. sqrt (2. *. bf *. p /. 3.) in
+    let to_term =
+      t0
+      *. Float.min 1. (3. *. sqrt (3. *. bf *. p /. 8.))
+      *. p
+      *. (1. +. (32. *. p *. p))
+    in
+    1. /. (td_term +. to_term)
+
+  let approx_send_rate_unchecked (params : Params.t) p =
+    Float.min
+      (float_of_int params.wm /. params.rtt)
+      (approx_send_rate_uncapped_unchecked ~rtt:params.rtt ~t0:params.t0
+         ~b:params.b p)
+
+  let e_w_unchecked ~b p =
+    let c = float_of_int (2 + b) /. (3. *. float_of_int b) in
+    c +. sqrt ((8. *. (1. -. p) /. (3. *. float_of_int b *. p)) +. (c *. c))
+
+  let e_x_unchecked ~b p =
+    let c = float_of_int (2 + b) /. 6. in
+    c +. sqrt ((2. *. float_of_int b *. (1. -. p) /. (3. *. p)) +. (c *. c))
+
+  let tdonly_send_rate_unchecked ~rtt ~b p =
+    (((1. -. p) /. p) +. e_w_unchecked ~b p)
+    /. (rtt *. (e_x_unchecked ~b p +. 1.))
+
+  let fair_rate_unchecked ~t0_factor ~rtt p =
+    let t0 = Float.max 1e-3 (t0_factor *. rtt) in
+    Float.min
+      (float_of_int Params.unlimited_window /. rtt)
+      (approx_send_rate_uncapped_unchecked ~rtt ~t0 ~b:2 p)
+
+  let loss_budget params ~rate =
+    let model p = Full_model.send_rate params p in
+    let lo = 1e-9 and hi = 0.999 in
+    let limited p = Full_model.window_limited params p in
+    if not (limited lo) || limited hi then Inverse.loss_for_rate ~lo ~hi model rate
+    else begin
+      let rec knee log_lo log_hi n =
+        if Int.equal n 0 then (exp log_lo, exp log_hi)
+        else begin
+          let log_mid = (log_lo +. log_hi) /. 2. in
+          if limited (exp log_mid) then knee log_mid log_hi (n - 1)
+          else knee log_lo log_mid (n - 1)
+        end
+      in
+      let knee_left, knee_right = knee (log lo) (log hi) 40 in
+      match Inverse.loss_for_rate ~lo:knee_right ~hi model rate with
+      | Some _ as found -> found
+      | None -> Inverse.loss_for_rate ~lo ~hi:knee_left model rate
+    end
+end
+
+let same_bits a b =
+  (Float.is_nan a && Float.is_nan b)
+  || Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* 10^5 in-domain rows: p log-uniform over [1e-12, 0.999] with one row in
+   eight near 1, rtt and t0 log-uniform over [1e-4, 1e4], b in 1..4, wm
+   from 1 to unlimited; then test_batch's subnormal and extreme rows. *)
+let oracle_rows =
+  lazy
+    (let st = Random.State.make [| 16 |] in
+     let log_uniform lo hi =
+       exp (log lo +. Random.State.float st (log hi -. log lo))
+     in
+     let row _ =
+       let p =
+         if Random.State.int st 8 = 0 then 1. -. log_uniform 1e-12 0.5
+         else log_uniform 1e-12 0.999
+       in
+       let wm =
+         match Random.State.int st 4 with
+         | 0 -> Params.unlimited_window
+         | 1 -> 1 + Random.State.int st 4
+         | _ -> int_of_float (log_uniform 1. 1e6)
+       in
+       let b = 1 + Random.State.int st 4 in
+       let rtt = log_uniform 1e-4 1e4 and t0 = log_uniform 1e-4 1e4 in
+       (Params.make ~b ~wm ~rtt ~t0 (), p)
+     in
+     Array.append
+       (Array.init 100_000 row)
+       [|
+         (Params.make ~wm:32 ~rtt:0.2 ~t0:2. (), 0x1p-1074);
+         (Params.make ~rtt:0.2 ~t0:2. (), 0x1p-1022);
+         (Params.make ~wm:8 ~rtt:1e300 ~t0:1e300 (), 1e-300);
+       |])
+
+let check_oracle name f =
+  Array.iteri
+    (fun i ((params : Params.t), p) ->
+      let want, got = f params p in
+      if not (same_bits want got) then
+        Alcotest.failf "%s: row %d (%a p=%h): %h, previous body %h" name i
+          Params.pp params p got want)
+    (Lazy.force oracle_rows)
+
+let test_oracle_approx () =
+  check_oracle "Approx_model.send_rate_unchecked" (fun params p ->
+      ( Oracle.approx_send_rate_unchecked params p,
+        Approx_model.send_rate_unchecked
+          (Tdonly.consts ~b:params.b)
+          ~rtt:params.rtt ~t0:params.t0 ~wm:(float_of_int params.wm) p ));
+  check_oracle "Approx_model.send_rate_uncapped" (fun params p ->
+      ( Oracle.approx_send_rate_uncapped_unchecked ~rtt:params.rtt
+          ~t0:params.t0 ~b:params.b p,
+        Approx_model.send_rate_uncapped ~rtt:params.rtt ~t0:params.t0
+          ~b:params.b p ))
+
+let test_oracle_tdonly () =
+  check_oracle "Tdonly.send_rate_unchecked" (fun params p ->
+      ( Oracle.tdonly_send_rate_unchecked ~rtt:params.rtt ~b:params.b p,
+        Tdonly.send_rate_unchecked (Tdonly.consts ~b:params.b) ~rtt:params.rtt p
+      ))
+
+(* t0_factor spans both sides of the 1 ms floor. *)
+let test_oracle_tfrc () =
+  check_oracle "Tfrc.fair_rate_unchecked" (fun params p ->
+      let t0_factor = params.t0 /. params.rtt in
+      ( Oracle.fair_rate_unchecked ~t0_factor ~rtt:params.rtt p,
+        Tfrc.fair_rate_unchecked ~t0_factor ~rtt:params.rtt p ))
+
+(* The target rate is the model's own rate at a random loss, scaled by
+   0.5..2, so some rows fall outside the attainable range (None). *)
+let test_oracle_loss_budget () =
+  let st = Random.State.make [| 17 |] in
+  check_oracle "Inverse.loss_budget" (fun params p ->
+      let rate =
+        Full_model.send_rate params p *. (0.5 +. Random.State.float st 1.5)
+      in
+      let some = function Some p -> p | None -> Float.nan in
+      ( some (Oracle.loss_budget params ~rate),
+        some (Inverse.loss_budget params ~rate) ))
+
 (* --- Property tests ------------------------------------------------------------------------------------ *)
 
 let gen_p = QCheck.float_range 1e-4 0.9
@@ -927,6 +1072,24 @@ let prop_inverse_roundtrip =
       | Some found -> Float.abs (found -. p) /. p < 0.01
       | None -> false)
 
+(* The fused eq. (32) body the batch kernels call per row is the guarded
+   path bit for bit, for both Q-hat variants, b = 1..4 and wm from 1 to
+   unlimited. *)
+let prop_fused_full_model =
+  QCheck.Test.make ~name:"fused eq. (32) body = send_rate, bit for bit"
+    ~count:20_000
+    QCheck.(
+      quad (float_range 1e-9 0.999) (int_range 1 4)
+        (oneof [ int_range 1 64; int_range 1 100_000; always Params.unlimited_window ])
+        (pair bool (pair (float_range 1e-3 10.) (float_range 1e-3 100.))))
+    (fun (p, b, wm, (approx_q, (rtt, t0))) ->
+      let params = Params.make ~b ~wm ~rtt ~t0 () in
+      let q = if approx_q then Qhat.Approximate else Qhat.Closed in
+      same_bits
+        (Full_model.send_rate ~q params p)
+        (Full_model.send_rate_unchecked ~approx_q (Tdonly.consts ~b) ~rtt ~t0
+           ~wm:(float_of_int wm) p))
+
 let props =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
     [
@@ -937,6 +1100,7 @@ let props =
       prop_e_w_decreasing;
       prop_wm_caps_rate;
       prop_inverse_roundtrip;
+      prop_fused_full_model;
     ]
 
 let () =
@@ -1060,6 +1224,13 @@ let () =
           case "history discounting" test_loss_history_discounting;
           case "agrees with online p" test_loss_history_vs_online_p;
           case "RFC 5348 worked value" test_tfrc_rfc5348_worked_value;
+        ] );
+      ( "oracle",
+        [
+          case "approx-model bodies" test_oracle_approx;
+          case "tdonly body" test_oracle_tdonly;
+          case "tfrc body" test_oracle_tfrc;
+          case "loss budget" test_oracle_loss_budget;
         ] );
       ("properties", props);
     ]

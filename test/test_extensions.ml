@@ -394,95 +394,6 @@ let test_bottleneck_conservation () =
   Alcotest.(check bool) "total under capacity" true
     (total <= bandwidth /. 1500. *. 1.05)
 
-(* --- Fixed point --------------------------------------------------------------------- *)
-
-let test_fixed_point_underutilized () =
-  (* One window-limited flow on a fat link: no loss, rate = Wm / base RTT. *)
-  let eq =
-    Fixed_point.solve ~wm:32 ~flows:1 ~capacity:10_000. ~buffer:100
-      ~base_rtt:0.1 ()
-  in
-  check_float "no equilibrium loss" 0. eq.Fixed_point.p;
-  close ~rel:0.02 "rate = Wm/RTT" 320. eq.Fixed_point.per_flow_rate;
-  Alcotest.(check bool) "window limited" true eq.Fixed_point.window_limited
-
-let test_fixed_point_saturated () =
-  let eq =
-    Fixed_point.solve ~flows:16 ~capacity:800. ~buffer:64 ~base_rtt:0.08 ()
-  in
-  Alcotest.(check bool) "positive equilibrium loss" true (eq.Fixed_point.p > 0.001);
-  close ~rel:0.01 "flows fill the link" 1. eq.Fixed_point.utilization;
-  close ~rel:0.01 "fair share" 50. eq.Fixed_point.per_flow_rate
-
-let test_fixed_point_more_flows_more_loss () =
-  let loss n =
-    (Fixed_point.solve ~flows:n ~capacity:800. ~buffer:64 ~base_rtt:0.08 ())
-      .Fixed_point.p
-  in
-  Alcotest.(check bool) "monotone in flows" true
-    (loss 4 < loss 8 && loss 8 < loss 16 && loss 16 < loss 64)
-
-let test_fixed_point_matches_simulation () =
-  (* The headline: the analytic equilibrium matches the multi-flow
-     packet-level simulation. *)
-  let capacity = 1_250_000. /. 1500. in
-  let eq =
-    Fixed_point.solve ~wm:32 ~flows:8 ~capacity ~buffer:64 ~base_rtt:0.0426 ()
-  in
-  let sim =
-    SB.run ~seed:72L ~duration:120. ~buffer:64 ~bandwidth:1_250_000.
-      ~one_way_delay:0.02
-      (List.init 8 (fun i -> SB.reno (Printf.sprintf "r%d" i)))
-  in
-  let mean_goodput =
-    List.fold_left (fun a f -> a +. f.SB.goodput) 0. sim.SB.flows /. 8.
-  in
-  close ~rel:0.1 "equilibrium rate matches simulation"
-    mean_goodput eq.Fixed_point.per_flow_rate
-
-let test_required_buffer_monotone () =
-  let buffer target =
-    Fixed_point.required_buffer ~target_p:target ~flows:16 ~capacity:800.
-      ~base_rtt:0.08 ()
-  in
-  (* A stricter (smaller) loss target needs a bigger buffer. *)
-  Alcotest.(check bool) "monotone" true (buffer 0.002 > buffer 0.02)
-
-(* Regression (selfcheck corpus c8-buffer-truncation.case): the old
-   float-returning search truncated to a buffer whose equilibrium loss sat
-   just above the target.  The contract is a round trip: solving at the
-   returned buffer meets target_p, and one packet less does not. *)
-let test_required_buffer_roundtrip () =
-  List.iter
-    (fun (flows, capacity, base_rtt, target_p) ->
-      let buffer =
-        Fixed_point.required_buffer ~target_p ~flows ~capacity ~base_rtt ()
-      in
-      let loss_at buffer =
-        (Fixed_point.solve ~flows ~capacity ~buffer ~base_rtt ()).Fixed_point.p
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "buffer %d sufficient (flows=%d)" buffer flows)
-        true
-        (loss_at buffer <= target_p);
-      if buffer > 0 && buffer < 100_000 then
-        Alcotest.(check bool)
-          (Printf.sprintf "buffer %d minimal (flows=%d)" buffer flows)
-          true
-          (loss_at (buffer - 1) > target_p))
-    [
-      (31, 480., 0.035, 0.02);
-      (* the pinned c8 counterexample's equilibrium, verbatim *)
-      (28, 0x1.d34618a0bb68ep+11, 0x1.80528d4aca1f1p-3, 0x1.2cc8711e55722p-10);
-      (16, 800., 0.08, 0.002);
-      (8, 200., 0.05, 0.01);
-    ]
-
-let test_fixed_point_validation () =
-  Alcotest.check_raises "flows < 1"
-    (Invalid_argument "Fixed_point.solve: flows must be >= 1") (fun () ->
-      ignore (Fixed_point.solve ~flows:0 ~capacity:1. ~buffer:1 ~base_rtt:0.1 ()))
-
 (* --- Validation experiment -------------------------------------------------------------- *)
 
 let test_validation_report () =
@@ -884,16 +795,6 @@ let () =
           slow_case "late start" test_bottleneck_late_start;
           case "validation" test_bottleneck_validation;
           slow_case "conservation" test_bottleneck_conservation;
-        ] );
-      ( "fixed-point",
-        [
-          case "underutilized" test_fixed_point_underutilized;
-          case "saturated" test_fixed_point_saturated;
-          case "more flows, more loss" test_fixed_point_more_flows_more_loss;
-          slow_case "matches simulation" test_fixed_point_matches_simulation;
-          case "required buffer" test_required_buffer_monotone;
-          case "required buffer round-trip" test_required_buffer_roundtrip;
-          case "validation" test_fixed_point_validation;
         ] );
       ( "validation-experiment",
         [ slow_case "report shape" test_validation_report ] );

@@ -1,6 +1,7 @@
 (* Tests for lib/meanfield: solver edge cases (single flow, invalid
    configurations, the RED min=max step profile, underutilized links),
-   histogram mass conservation, the pinned stable and oscillating RED
+   the drop-tail provisioning equilibrium and its required-buffer round
+   trip, histogram mass conservation, the pinned stable and oscillating RED
    cells (an oscillation is a reported verdict, not a divergence), the
    netsim cross-validation tolerances at N = 2..64, byte-identical
    output across --jobs, and the pinned `pftk meanfield --help` units
@@ -12,8 +13,16 @@ module Solver = Pftk_meanfield.Solver
 module Dynamics = Pftk_meanfield.Dynamics
 module Red_stability = Pftk_experiments.Red_stability
 module Meanfield_xval = Pftk_experiments.Meanfield_xval
+module SB = Pftk_tcp.Shared_bottleneck
 
 let case name f = Alcotest.test_case name `Quick f
+let slow_case name f = Alcotest.test_case name `Slow f
+
+let close ?(rel = 0.05) msg expected actual =
+  let err = Float.abs (expected -. actual) /. Float.abs expected in
+  if err > rel then
+    Alcotest.failf "%s: expected %g within %g%%, got %g" msg expected
+      (100. *. rel) actual
 
 let check_invalid name thunk =
   match thunk () with
@@ -97,6 +106,98 @@ let test_underutilized_link () =
   Alcotest.(check (float 0.)) "no loss" 0. eq.Solver.p;
   Alcotest.(check (float 0.)) "empty queue" 0. eq.Solver.queue;
   Alcotest.(check bool) "utilization < 1" true (eq.Solver.utilization < 1.)
+
+(* --- drop-tail provisioning ------------------------------------------------ *)
+
+(* [solve_drop_tail] and [required_buffer] replace the law. *)
+let drop_tail_cfg ?(wm = 0) ~flows ~capacity ~base_rtt () =
+  let law = Queue_law.drop_tail ~capacity:1 in
+  { (Solver.default ~flows ~capacity ~base_rtt ~law) with Solver.wm }
+
+let drop_tail ?wm ~flows ~capacity ~buffer ~base_rtt () =
+  let cfg = drop_tail_cfg ?wm ~flows ~capacity ~base_rtt () in
+  Solver.solve_drop_tail cfg ~buffer
+
+let test_drop_tail_underutilized () =
+  (* One window-limited flow on a fat link: no loss, rate = Wm / base RTT. *)
+  let eq =
+    drop_tail ~wm:32 ~flows:1 ~capacity:10_000. ~buffer:100 ~base_rtt:0.1 ()
+  in
+  Alcotest.(check (float 1e-9)) "no equilibrium loss" 0. eq.Solver.p;
+  close ~rel:0.02 "rate = Wm/RTT" 320. eq.Solver.per_flow_rate;
+  Alcotest.(check bool) "window limited" true eq.Solver.window_limited
+
+let test_drop_tail_saturated () =
+  let eq = drop_tail ~flows:16 ~capacity:800. ~buffer:64 ~base_rtt:0.08 () in
+  Alcotest.(check bool) "positive equilibrium loss" true (eq.Solver.p > 0.001);
+  close ~rel:0.01 "flows fill the link" 1. eq.Solver.utilization;
+  close ~rel:0.01 "fair share" 50. eq.Solver.per_flow_rate
+
+let test_drop_tail_more_flows_more_loss () =
+  let loss n =
+    (drop_tail ~flows:n ~capacity:800. ~buffer:64 ~base_rtt:0.08 ()).Solver.p
+  in
+  Alcotest.(check bool) "monotone in flows" true
+    (loss 4 < loss 8 && loss 8 < loss 16 && loss 16 < loss 64)
+
+let test_drop_tail_matches_simulation () =
+  (* The headline: the analytic equilibrium matches the multi-flow
+     packet-level simulation. *)
+  let capacity = 1_250_000. /. 1500. in
+  let eq =
+    drop_tail ~wm:32 ~flows:8 ~capacity ~buffer:64 ~base_rtt:0.0426 ()
+  in
+  let sim =
+    SB.run ~seed:72L ~duration:120. ~buffer:64 ~bandwidth:1_250_000.
+      ~one_way_delay:0.02
+      (List.init 8 (fun i -> SB.reno (Printf.sprintf "r%d" i)))
+  in
+  let mean_goodput =
+    List.fold_left (fun a f -> a +. f.SB.goodput) 0. sim.SB.flows /. 8.
+  in
+  close ~rel:0.1 "equilibrium rate matches simulation"
+    mean_goodput eq.Solver.per_flow_rate
+
+let test_required_buffer_monotone () =
+  let buffer target =
+    Solver.required_buffer ~target_p:target
+      (drop_tail_cfg ~flows:16 ~capacity:800. ~base_rtt:0.08 ())
+  in
+  (* A stricter (smaller) loss target needs a bigger buffer. *)
+  Alcotest.(check bool) "monotone" true (buffer 0.002 > buffer 0.02)
+
+(* Regression (selfcheck corpus c8-buffer-truncation.case): the old
+   float-returning search truncated to a buffer whose equilibrium loss sat
+   just above the target.  The contract is a round trip: solving at the
+   returned buffer meets target_p, and one packet less does not, down to
+   the empty buffer. *)
+let test_required_buffer_roundtrip () =
+  List.iter
+    (fun (flows, capacity, base_rtt, target_p) ->
+      let cfg = drop_tail_cfg ~flows ~capacity ~base_rtt () in
+      let buffer = Solver.required_buffer ~target_p cfg in
+      let loss_at buffer = (Solver.solve_drop_tail cfg ~buffer).Solver.p in
+      Alcotest.(check bool)
+        (Printf.sprintf "buffer %d sufficient (flows=%d)" buffer flows)
+        true
+        (loss_at buffer <= target_p);
+      if buffer > 0 && buffer < 100_000 then
+        Alcotest.(check bool)
+          (Printf.sprintf "buffer %d minimal (flows=%d)" buffer flows)
+          true
+          (loss_at (buffer - 1) > target_p))
+    [
+      (31, 480., 0.035, 0.02);
+      (* the pinned c8 counterexample's equilibrium, verbatim *)
+      (28, 0x1.d34618a0bb68ep+11, 0x1.80528d4aca1f1p-3, 0x1.2cc8711e55722p-10);
+      (16, 800., 0.08, 0.002);
+      (8, 200., 0.05, 0.01);
+    ]
+
+let test_drop_tail_validation () =
+  Alcotest.check_raises "flows < 1"
+    (Invalid_argument "Solver.solve: flows must be >= 1") (fun () ->
+      ignore (drop_tail ~flows:0 ~capacity:1. ~buffer:1 ~base_rtt:0.1 ()))
 
 (* --- histogram ------------------------------------------------------------ *)
 
@@ -239,6 +340,16 @@ let () =
           case "invalid configs rejected" test_invalid_configs;
           case "red min=max step profile" test_red_step_profile;
           case "underutilized link" test_underutilized_link;
+        ] );
+      ( "fixed-point",
+        [
+          case "underutilized" test_drop_tail_underutilized;
+          case "saturated" test_drop_tail_saturated;
+          case "more flows, more loss" test_drop_tail_more_flows_more_loss;
+          slow_case "matches simulation" test_drop_tail_matches_simulation;
+          case "required buffer" test_required_buffer_monotone;
+          case "required buffer round-trip" test_required_buffer_roundtrip;
+          case "validation" test_drop_tail_validation;
         ] );
       ("histogram", [ case "mass conserved" test_histogram_mass_conserved ]);
       ( "stability",

@@ -255,7 +255,7 @@ let test_cli_bad_path_parameters () =
       ("live -p 2", "Loss_process.round_correlated: p outside [0, 1)");
       ("simulate -p 2", "Loss_process.round_correlated: p outside [0, 1)");
     ];
-  (* Subcommands without --duration. *)
+  (* Subcommands without --duration, and bad --duration values. *)
   List.iter (rejects ~suffix:"")
     [
       ("rate --t0 0", "Params: t0 must be positive");
@@ -273,6 +273,22 @@ let test_cli_bad_path_parameters () =
          approximate, td-only, tfrc)" );
       ("bench-batch --model bogus", "unknown model \"bogus\"");
       ("bench-batch --rows 0", "--rows must be >= 1");
+      ("simulate --duration=-1", "Round_sim.run: duration must be positive");
+      ("simulate --duration nan", "Round_sim.run: duration must be positive");
+      ("live --duration=-5", "Round_sim.run: duration must be positive");
+      ("meanfield --flows 0", "Solver.solve: flows must be >= 1");
+      ("meanfield --capacity=-5", "Solver.solve: capacity must be positive");
+      ("meanfield --capacity nan", "Solver.solve: capacity must be positive");
+      ("meanfield --base-rtt=0", "Solver.solve: base_rtt must be positive");
+      ("meanfield --damping=nan", "Solver.solve: damping outside (0, 1]");
+      ("meanfield --damping 5", "Solver.solve: damping outside (0, 1]");
+      ("meanfield --red-weight=nan", "Queue_law.red: weight outside (0, 1]");
+      ("meanfield --red-maxp=2", "Queue_law.red: max_probability outside (0, 1]");
+      ( "meanfield --law constant --constant-p=2",
+        "Queue_law.constant: p outside [0, 1)" );
+      ("meanfield -b 0", "Solver.solve: b must be >= 1");
+      ("meanfield --max-solver-seconds nan", "--max-solver-seconds must be >= 0");
+      ("meanfield --max-solver-seconds=-1", "--max-solver-seconds must be >= 0");
     ]
 
 let test_cli_selfcheck_smoke () =

@@ -43,7 +43,9 @@
 #                             pinned digests
 #  11. batch smoke         -- timed bench-batch runs on the release
 #                             binary asserting the batch engine's
-#                             speedup floors and bitwise equality
+#                             speedup floors and bitwise equality, and
+#                             that a jobs=1 pass of every kernel
+#                             allocates 0 minor words per row
 #  12. meanfield smoke     -- the mean-field backend on the release
 #                             binary: a 100000-flow RED equilibrium
 #                             held to a sub-second solver budget, and
@@ -226,14 +228,42 @@ phase "serve format: pftk serve --batch on a generated stream, pinned digests" \
 # (eq. (33): ~4.3x vs its own scalar, ~13x vs the scalar full model;
 # eq. (32): ~2.8x) so CI noise does not flake, while a regression to a
 # boxed or rescanning inner loop (2-3x of margin) still fails.  Each run
-# also bit-compares 4096 rows against the guarded scalar path.
-phase "batch smoke: eq. (32) kernel floor 2x" \
-  dune exec --profile release bin/pftk.exe -- bench-batch \
-  --rows 1000000 --model full --min-speedup 2
+# also bit-compares 4096 rows against the guarded scalar path.  Each
+# kernel row is one call to an [@inline] body in lib/core, expanded in
+# place only where the compiler reads the core's .cmx files; every
+# kernel's jobs=1 pass must allocate 0 minor words per row, which a
+# boxed per-row float would break.
+batch_smoke() {
+  _out=$(mktemp)
+  if ! dune exec --profile release bin/pftk.exe -- bench-batch "$@" >"$_out"; then
+    cat "$_out"
+    rm "$_out"
+    return 1
+  fi
+  cat "$_out"
+  if ! grep -q '^  batch jobs=1 minor words per row: 0$' "$_out"; then
+    say "bench-batch $*: the jobs=1 pass allocates per row"
+    rm "$_out"
+    return 1
+  fi
+  rm "$_out"
+}
 
-phase "batch smoke: eq. (33) vs scalar full model, floor 6x" \
-  dune exec --profile release bin/pftk.exe -- bench-batch \
-  --rows 1000000 --model approximate --scalar-model full --min-speedup 6
+batch_zero_alloc() {
+  for _model in full-approx-q td-only tfrc; do
+    batch_smoke --rows 100000 --model "$_model" || return 1
+  done
+}
+
+phase "batch smoke: eq. (32) kernel floor 2x, 0 words per row" \
+  batch_smoke --rows 1000000 --model full --min-speedup 2
+
+phase "batch smoke: eq. (33) vs scalar full model, floor 6x, 0 words per row" \
+  batch_smoke --rows 1000000 --model approximate --scalar-model full \
+  --min-speedup 6
+
+phase "batch smoke: full-approx-q, td-only and tfrc kernels, 0 words per row" \
+  batch_zero_alloc
 
 # The scale promise of the mean-field backend: a 100000-flow RED
 # equilibrium in well under a second (measured ~0.3 ms; the 0.5 s
