@@ -41,20 +41,18 @@ let start ?(config = default) ~sim ~rng ~send () =
   validate config;
   let t = { packets_sent = 0 } in
   let rec off_period () =
-    ignore
-      (Sim.schedule sim
-         ~delay:(Pftk_stats.Rng.exponential rng config.mean_off)
-         on_period)
+    Sim.schedule sim
+      ~delay:(Pftk_stats.Rng.exponential rng config.mean_off)
+      on_period
   and on_period () =
     let ends_at = Sim.now sim +. on_duration config rng in
     let rec burst () =
       if Sim.now sim < ends_at then begin
         t.packets_sent <- t.packets_sent + 1;
         send ~size:config.packet_size;
-        ignore
-          (Sim.schedule sim
-             ~delay:(Pftk_stats.Rng.exponential rng (1. /. config.rate))
-             burst)
+        Sim.schedule sim
+          ~delay:(Pftk_stats.Rng.exponential rng (1. /. config.rate))
+          burst
       end
       else off_period ()
     in

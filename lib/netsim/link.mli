@@ -31,8 +31,8 @@ val create :
     [discipline] defaults to a 64-packet drop-tail queue.  [random_loss],
     when supplied, is consulted per packet {e before} the queue: returning
     [true] discards the packet (models drops elsewhere on the path).
-    Raises [Invalid_argument] for nonpositive [bandwidth] or negative
-    [delay]. *)
+    Raises [Invalid_argument] for nonpositive or NaN [bandwidth] or a
+    negative or NaN [delay]. *)
 
 val send : 'a t -> size:int -> 'a -> bool
 (** Offer a packet of [size] bytes.  [false] if it was dropped on entry;

@@ -48,6 +48,8 @@ let loss_hook = Option.map (fun process () -> Loss_process.drops process)
 
 let run ?(seed = 42L) ?recorder ~duration scenario =
   if not (duration > 0.) then invalid_arg "Connection.run: duration must be positive";
+  if not (Float.is_finite duration) then
+    invalid_arg "Connection.run: duration must be finite";
   let sim = Sim.create () in
   let rng = Pftk_stats.Rng.create ~seed () in
   let recorder =

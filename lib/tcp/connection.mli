@@ -49,7 +49,8 @@ val run :
     pass [Recorder.create ~buffered:false ()] with subscribed sinks to run
     arbitrarily long transfers in O(1) memory, feeding the
     [Pftk_online] estimators as the transfer progresses (the returned
-    [result.recorder] is then unbuffered). *)
+    [result.recorder] is then unbuffered).  Raises [Invalid_argument]
+    unless [duration] is positive and finite. *)
 
 val rtt_window_correlation : result -> float
 [@@pftk.unit "_ -> 1"]

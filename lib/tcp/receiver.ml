@@ -1,7 +1,6 @@
 module Int_set = Set.Make (Int)
 
 type t = {
-  sim : Pftk_netsim.Sim.t;
   send_ack : Segment.ack -> unit;
   ack_every : int;
   delayed_ack_timeout : float;
@@ -9,38 +8,12 @@ type t = {
   mutable rcv_nxt : int;
   mutable out_of_order : Int_set.t;
   mutable unacked_arrivals : int;
-  mutable delayed_timer : Pftk_netsim.Sim.event option;
+  delayed_ack : Pftk_netsim.Sim.timer;
+  on_delayed_ack : unit -> unit;
   mutable segments_received : int;
   mutable duplicates_received : int;
   mutable acks_sent : int;
 }
-
-let create ?(ack_every = 2) ?(delayed_ack_timeout = 0.2) ?(sack = false) ~sim
-    ~send_ack () =
-  if ack_every < 1 then invalid_arg "Receiver.create: ack_every must be >= 1";
-  if not (delayed_ack_timeout > 0.) then
-    invalid_arg "Receiver.create: delayed_ack_timeout must be positive";
-  {
-    sim;
-    send_ack;
-    ack_every;
-    delayed_ack_timeout;
-    sack;
-    rcv_nxt = 0;
-    out_of_order = Int_set.empty;
-    unacked_arrivals = 0;
-    delayed_timer = None;
-    segments_received = 0;
-    duplicates_received = 0;
-    acks_sent = 0;
-  }
-
-let cancel_delayed_timer t =
-  match t.delayed_timer with
-  | Some e ->
-      Pftk_netsim.Sim.cancel e;
-      t.delayed_timer <- None
-  | None -> ()
 
 (* Maximal runs of buffered out-of-order segments, nearest the cumulative
    point first, capped at three (the SACK option's size limit). *)
@@ -62,18 +35,38 @@ let sack_blocks t =
   end
 
 let emit_ack t =
-  cancel_delayed_timer t;
+  Pftk_netsim.Sim.disarm t.delayed_ack;
   t.unacked_arrivals <- 0;
   t.acks_sent <- t.acks_sent + 1;
   t.send_ack { Segment.ack = t.rcv_nxt; sacked = sack_blocks t }
 
+let create ?(ack_every = 2) ?(delayed_ack_timeout = 0.2) ?(sack = false) ~sim
+    ~send_ack () =
+  if ack_every < 1 then invalid_arg "Receiver.create: ack_every must be >= 1";
+  if not (delayed_ack_timeout > 0.) then
+    invalid_arg "Receiver.create: delayed_ack_timeout must be positive";
+  let rec t =
+    {
+      send_ack;
+      ack_every;
+      delayed_ack_timeout;
+      sack;
+      rcv_nxt = 0;
+      out_of_order = Int_set.empty;
+      unacked_arrivals = 0;
+      delayed_ack = Pftk_netsim.Sim.timer sim;
+      on_delayed_ack = (fun () -> if t.unacked_arrivals > 0 then emit_ack t);
+      segments_received = 0;
+      duplicates_received = 0;
+      acks_sent = 0;
+    }
+  in
+  t
+
 let arm_delayed_timer t =
-  if t.delayed_timer = None then
-    t.delayed_timer <-
-      Some
-        (Pftk_netsim.Sim.schedule t.sim ~delay:t.delayed_ack_timeout (fun () ->
-             t.delayed_timer <- None;
-             if t.unacked_arrivals > 0 then emit_ack t))
+  if not (Pftk_netsim.Sim.armed t.delayed_ack) then
+    Pftk_netsim.Sim.arm t.delayed_ack ~delay:t.delayed_ack_timeout
+      t.on_delayed_ack
 
 (* Advance the cumulative point through any buffered segments. *)
 let rec drain t =

@@ -59,7 +59,8 @@ type t = {
   mutable pipe : int;  (* segments believed to be in the network *)
   mutable rexmit_next : int;  (* go-back-N cursor, meaningful below recovery_point *)
   mutable recovery_point : int;
-  mutable timer : Sim.event option;
+  timer : Sim.timer;  (* the retransmission timer *)
+  on_timer : unit -> unit;
   mutable timing : (int * float * int) option;
       (* (seq, sent_at, flight_then): the one segment currently being timed
          for an RTT sample, BSD-style. *)
@@ -71,37 +72,6 @@ type t = {
   mutable rtt_flight : (float * int) list;
 }
 
-let create ?(config = default_config) ~sim ~recorder ~transmit () =
-  validate_config config;
-  {
-    config;
-    sim;
-    recorder;
-    transmit;
-    rto = Rto.create ~min_rto:config.min_rto ~max_rto:config.max_rto ();
-    snd_una = 0;
-    snd_nxt = 0;
-    cwnd = config.initial_cwnd;
-    ssthresh = config.initial_ssthresh;
-    dup_acks = 0;
-    in_fast_recovery = false;
-    recover = -1;
-    sacked = Hashtbl.create 64;
-    fr_rexmitted = Hashtbl.create 64;
-    backoff = 0;
-    pipe = 0;
-    rexmit_next = 0;
-    recovery_point = 0;
-    timer = None;
-    timing = None;
-    stopped = false;
-    packets_sent = 0;
-    retransmissions = 0;
-    timeout_count = 0;
-    fast_retransmit_count = 0;
-    rtt_flight = [];
-  }
-
 let flight t = t.snd_nxt - t.snd_una
 
 let effective_window t =
@@ -110,13 +80,6 @@ let effective_window t =
 let timer_value t =
   let multiplier = float_of_int (1 lsl min t.backoff t.config.backoff_cap) in
   Float.min t.config.max_rto (Rto.rto t.rto *. multiplier)
-
-let cancel_timer t =
-  match t.timer with
-  | Some e ->
-      Sim.cancel e;
-      t.timer <- None
-  | None -> ()
 
 let record t kind = Recorder.record t.recorder ~time:(Sim.now t.sim) kind
 
@@ -138,13 +101,11 @@ let send_segment t ~seq ~retransmission =
        { seq; retransmission; cwnd = t.cwnd; flight = flight t });
   t.transmit { Segment.seq; size = wire; retransmission }
 
-let rec arm_timer t =
-  cancel_timer t;
-  if not t.stopped then
-    t.timer <- Some (Sim.schedule t.sim ~delay:(timer_value t) (on_timeout t))
+let arm_timer t =
+  if t.stopped then Sim.disarm t.timer
+  else Sim.arm t.timer ~delay:(timer_value t) t.on_timer
 
-and on_timeout t () =
-  t.timer <- None;
+let on_timeout t =
   if not t.stopped then begin
     let expired = timer_value t in
     t.backoff <- t.backoff + 1;
@@ -168,6 +129,41 @@ and on_timeout t () =
     t.rexmit_next <- t.snd_una + 1;
     arm_timer t
   end
+
+let create ?(config = default_config) ~sim ~recorder ~transmit () =
+  validate_config config;
+  let rec t =
+    {
+      config;
+      sim;
+      recorder;
+      transmit;
+      rto = Rto.create ~min_rto:config.min_rto ~max_rto:config.max_rto ();
+      snd_una = 0;
+      snd_nxt = 0;
+      cwnd = config.initial_cwnd;
+      ssthresh = config.initial_ssthresh;
+      dup_acks = 0;
+      in_fast_recovery = false;
+      recover = -1;
+      sacked = Hashtbl.create 64;
+      fr_rexmitted = Hashtbl.create 64;
+      backoff = 0;
+      pipe = 0;
+      rexmit_next = 0;
+      recovery_point = 0;
+      timer = Sim.timer sim;
+      on_timer = (fun () -> on_timeout t);
+      timing = None;
+      stopped = false;
+      packets_sent = 0;
+      retransmissions = 0;
+      timeout_count = 0;
+      fast_retransmit_count = 0;
+      rtt_flight = [];
+    }
+  in
+  t
 
 (* How many segments the window permits right now: the congestion window
    minus the pipe estimate (segments believed still in the network -- the
@@ -218,7 +214,7 @@ let fill_window t =
       t.snd_nxt <- t.snd_nxt + 1;
       decr budget
     done;
-    if flight t > 0 && t.timer = None then arm_timer t
+    if flight t > 0 && not (Sim.armed t.timer) then arm_timer t
   end
 
 let start t =
@@ -304,7 +300,7 @@ let on_new_ack t ack =
   (* congestion avoidance: +1/W per ACK, the paper's growth law *)
   t.cwnd <- Float.min t.cwnd (float_of_int t.config.wm);
   t.dup_acks <- 0;
-  if flight t > 0 || in_go_back_n t then arm_timer t else cancel_timer t;
+  if flight t > 0 || in_go_back_n t then arm_timer t else Sim.disarm t.timer;
   fill_window t
 
 let on_dup_ack t =
@@ -357,7 +353,7 @@ let on_ack t ({ Segment.ack; sacked } : Segment.ack) =
 
 let stop t =
   t.stopped <- true;
-  cancel_timer t;
+  Sim.disarm t.timer;
   record t Event.Connection_closed
 
 let cwnd t = t.cwnd

@@ -199,6 +199,8 @@ let timeout_sequence state =
 let run ?(seed = 7L) ?recorder ~duration ~loss config =
   validate config;
   if not (duration > 0.) then invalid_arg "Round_sim.run: duration must be positive";
+  if not (Float.is_finite duration) then
+    invalid_arg "Round_sim.run: duration must be finite";
   let state =
     {
       config;

@@ -89,7 +89,8 @@ val run :
 (** Simulate until the virtual clock passes [duration].  When [recorder]
     is given, per-packet [Segment_sent], per-round [Round_started], and
     ground-truth [Fast_retransmit_triggered]/[Timer_fired] events are
-    recorded for the trace-analysis pipeline. *)
+    recorded for the trace-analysis pipeline.  Raises [Invalid_argument]
+    unless [duration] is positive and finite. *)
 
 val window_samples :
   ?seed:int64 -> rounds:int -> loss:Pftk_loss.Loss_process.t -> config -> float array

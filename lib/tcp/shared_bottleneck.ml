@@ -73,6 +73,8 @@ let run ?(seed = 53L) ?(buffer = 64) ?discipline ?(bandwidth = 1_250_000.)
   if specs = [] then invalid_arg "Shared_bottleneck.run: no flows";
   if not (duration > 0.) then
     invalid_arg "Shared_bottleneck.run: duration must be positive";
+  if not (Float.is_finite duration) then
+    invalid_arg "Shared_bottleneck.run: duration must be finite";
   let sim = Sim.create () in
   let rng = Pftk_stats.Rng.create ~seed () in
   let n = List.length specs in
@@ -150,9 +152,7 @@ let run ?(seed = 53L) ?(buffer = 64) ?discipline ?(bandwidth = 1_250_000.)
               ()
           in
           endpoints.(flow) <- Some (Tcp_endpoint (sender, receiver));
-          ignore
-            (Sim.schedule sim ~delay:spec.start_time (fun () ->
-                 Reno.start sender))
+          Sim.schedule sim ~delay:spec.start_time (fun () -> Reno.start sender)
       | Tfrc_flow { mss } ->
           let state =
             {
@@ -174,7 +174,7 @@ let run ?(seed = 53L) ?(buffer = 64) ?discipline ?(bandwidth = 1_250_000.)
               (Link.send bottleneck ~size:(state.mss + 40)
                  (Paced { flow; seq; sent_at = Sim.now sim }));
             let gap = 1. /. Tfrc.Controller.allowed_rate state.controller in
-            ignore (Sim.schedule sim ~delay:(Float.min 10. gap) send_next)
+            Sim.schedule sim ~delay:(Float.min 10. gap) send_next
           in
           (* Feedback epochs once per ~RTT. *)
           let rec epoch () =
@@ -184,23 +184,21 @@ let run ?(seed = 53L) ?(buffer = 64) ?discipline ?(bandwidth = 1_250_000.)
                 ~default:(2. *. one_way_delay)
                 (Tfrc.Controller.smoothed_rtt state.controller)
             in
-            ignore (Sim.schedule sim ~delay:rtt epoch)
+            Sim.schedule sim ~delay:rtt epoch
           in
-          ignore
-            (Sim.schedule sim ~delay:spec.start_time (fun () ->
-                 send_next ();
-                 epoch ()))
+          Sim.schedule sim ~delay:spec.start_time (fun () ->
+              send_next ();
+              epoch ())
       | Cross_flow config ->
           let state = { source = None; received = 0 } in
           endpoints.(flow) <- Some (Cross_endpoint state);
-          ignore
-            (Sim.schedule sim ~delay:spec.start_time (fun () ->
-                 state.source <-
-                   Some
-                     (Pftk_netsim.Cross_traffic.start ~config ~sim ~rng
-                        ~send:(fun ~size ->
-                          ignore (Link.send bottleneck ~size (Background flow)))
-                        ()))))
+          Sim.schedule sim ~delay:spec.start_time (fun () ->
+              state.source <-
+                Some
+                  (Pftk_netsim.Cross_traffic.start ~config ~sim ~rng
+                     ~send:(fun ~size ->
+                       ignore (Link.send bottleneck ~size (Background flow)))
+                     ())))
     specs;
   Sim.run ~until:duration sim;
   (* Collect. *)

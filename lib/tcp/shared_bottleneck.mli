@@ -73,4 +73,4 @@ val run :
     one-way delay.  [discipline] overrides the bottleneck's queue
     management wholesale (e.g. RED for the mean-field cross-validation);
     when given, [buffer] is ignored.  Raises [Invalid_argument] on an
-    empty flow list or nonpositive duration. *)
+    empty flow list or a duration that is not positive and finite. *)

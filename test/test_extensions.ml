@@ -376,7 +376,11 @@ let test_bottleneck_late_start () =
 let test_bottleneck_validation () =
   Alcotest.check_raises "empty flows"
     (Invalid_argument "Shared_bottleneck.run: no flows") (fun () ->
-      ignore (SB.run ~duration:1. []))
+      ignore (SB.run ~duration:1. []));
+  (* Reno's timer keeps the event queue busy: an infinite run never ends. *)
+  Alcotest.check_raises "infinite duration"
+    (Invalid_argument "Shared_bottleneck.run: duration must be finite")
+    (fun () -> ignore (SB.run ~duration:Float.infinity [ SB.reno "reno" ]))
 
 let test_bottleneck_conservation () =
   (* Per flow, delivered <= sent; summed goodput <= bottleneck capacity. *)

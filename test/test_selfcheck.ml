@@ -276,6 +276,8 @@ let test_cli_bad_path_parameters () =
       ("simulate --duration=-1", "Round_sim.run: duration must be positive");
       ("simulate --duration nan", "Round_sim.run: duration must be positive");
       ("live --duration=-5", "Round_sim.run: duration must be positive");
+      ("simulate --duration inf", "Round_sim.run: duration must be finite");
+      ("live --duration inf", "Round_sim.run: duration must be finite");
       ("meanfield --flows 0", "Solver.solve: flows must be >= 1");
       ("meanfield --capacity=-5", "Solver.solve: capacity must be positive");
       ("meanfield --capacity nan", "Solver.solve: capacity must be positive");

@@ -9,6 +9,7 @@ module Reno = Pftk_tcp.Reno
 module Connection = Pftk_tcp.Connection
 module Round_sim = Pftk_tcp.Round_sim
 module Segment = Pftk_tcp.Segment
+module SB = Pftk_tcp.Shared_bottleneck
 module Loss = Pftk_loss.Loss_process
 open Pftk_core
 
@@ -258,6 +259,211 @@ let test_connection_dup_ack_threshold_2 () =
   in
   Alcotest.(check bool) "threshold 2 >= threshold 3" true
     (run 2 11L >= run 3 11L)
+
+let test_connection_validation () =
+  Alcotest.check_raises "bad duration"
+    (Invalid_argument "Connection.run: duration must be positive") (fun () ->
+      ignore (Connection.run ~duration:0. lossless_scenario));
+  (* Reno's timer keeps the event queue busy: an infinite run never ends. *)
+  Alcotest.check_raises "infinite duration"
+    (Invalid_argument "Connection.run: duration must be finite") (fun () ->
+      ignore (Connection.run ~duration:Float.infinity lossless_scenario))
+
+(* --- Golden outputs of the packet-level simulator ------------------------------
+   Recorded at the commit before the event core and the links were
+   rewritten: the sender's trace (MD5 of the pftk text format), the
+   forward link's stats and the result counters of scenarios that
+   [pftk all --quick] never runs over netsim (NewReno and SACK recovery,
+   RED, ACK loss, bursty loss, TFRC and cross traffic).  A change to the
+   simulator that moves a random draw, a float operation or a packet
+   shows up here.  Events at equal times are rare in these runs, so
+   their order is left to test_netsim's oracles. *)
+
+let bernoulli seed p = Some (Loss.bernoulli (Pftk_stats.Rng.create ~seed ()) ~p)
+
+let golden_connections =
+  [
+    ( "reno bernoulli",
+      21L,
+      { lossless_scenario with Connection.data_loss = bernoulli 21L 0.02 },
+      "sent 5582 delivered 5476 rexmit 106 to 22 fr 76 rtt 1029 link \
+       5582/5480/0/102/8220000/7 trace 8affe0fd20624cc995dc89d914defbf3" );
+    ( "newreno",
+      22L,
+      {
+        lossless_scenario with
+        Connection.data_loss = bernoulli 22L 0.03;
+        sender = { Reno.default_config with recovery = Reno.Newreno_recovery };
+      },
+      "sent 4429 delivered 4291 rexmit 131 to 36 fr 73 rtt 957 link \
+       4429/4298/0/124/6447000/5 trace ad44b628e8be3c62c884820559bdea04" );
+    ( "sack",
+      23L,
+      {
+        lossless_scenario with
+        Connection.data_loss = bernoulli 23L 0.03;
+        sender = { Reno.default_config with recovery = Reno.Sack_recovery };
+      },
+      "sent 4454 delivered 4308 rexmit 145 to 22 fr 100 rtt 972 link \
+       4454/4314/0/139/6471000/8 trace a83dd2cbcc7ccf28f60f52596b9ee544" );
+    ( "red",
+      24L,
+      {
+        lossless_scenario with
+        Connection.forward_bandwidth = 125_000.;
+        buffer =
+          Pftk_netsim.Queue_discipline.red ~capacity:30 ~min_threshold:5.
+            ~max_threshold:15. ~max_probability:0.1 ();
+      },
+      "sent 9137 delivered 9093 rexmit 41 to 3 fr 38 rtt 724 link \
+       9137/9093/41/0/13639500/24 trace 525d4b4dd6693435df3a1ffae3536703" );
+    ( "ack loss",
+      25L,
+      {
+        lossless_scenario with
+        Connection.reverse_bandwidth = 16_000.;
+        forward_delay = 0.03;
+        reverse_delay = 0.07;
+        data_loss = bernoulli 25L 0.01;
+        ack_loss = bernoulli 26L 0.2;
+        ack_every = 1;
+        sender =
+          { Reno.default_config with dup_ack_threshold = 2; backoff_cap = 5 };
+      },
+      "sent 9553 delivered 9426 rexmit 121 to 20 fr 97 rtt 1006 link \
+       9553/9440/0/107/14160000/16 trace 6be3965cf036f353b22c2f7b913deb29" );
+    ( "bursty",
+      27L,
+      {
+        lossless_scenario with
+        Connection.data_loss =
+          Some
+            (Loss.gilbert (Pftk_stats.Rng.create ~seed:27L ())
+               ~p_enter_bad:0.01 ~p_exit_bad:0.3 ());
+      },
+      "sent 6064 delivered 5828 rexmit 235 to 51 fr 55 rtt 870 link \
+       6064/5870/0/193/8805000/11 trace c8b8631747dd3298aeb78d1f692e5292" );
+  ]
+
+let connection_digest (r : Connection.result) =
+  let path = Filename.temp_file "pftk-golden" ".trace" in
+  Pftk_trace.Serialize.save path r.Connection.recorder;
+  let md5 = Digest.to_hex (Digest.file path) in
+  Sys.remove path;
+  let s = r.Connection.forward_stats in
+  Printf.sprintf
+    "sent %d delivered %d rexmit %d to %d fr %d rtt %d link %d/%d/%d/%d/%d/%d \
+     trace %s"
+    r.Connection.packets_sent r.Connection.segments_delivered
+    r.Connection.retransmissions r.Connection.timeouts
+    r.Connection.fast_retransmits
+    (Array.length r.Connection.rtt_flight_samples)
+    s.Pftk_netsim.Link.offered s.Pftk_netsim.Link.delivered
+    s.Pftk_netsim.Link.dropped_queue s.Pftk_netsim.Link.dropped_random
+    s.Pftk_netsim.Link.bytes_delivered s.Pftk_netsim.Link.max_queue md5
+
+let test_golden_connections () =
+  List.iter
+    (fun (name, seed, scenario, expected) ->
+      Alcotest.(check string) name expected
+        (connection_digest (Connection.run ~seed ~duration:120. scenario)))
+    golden_connections
+
+let golden_bottlenecks =
+  [
+    ( "mixed drop-tail",
+      (fun () ->
+        SB.run ~seed:31L ~buffer:32 ~bandwidth:625_000. ~duration:40.
+          [
+            SB.reno "reno";
+            SB.reno
+              ~config:{ Reno.default_config with recovery = Reno.Newreno_recovery }
+              "newreno";
+            {
+              (SB.reno
+                 ~config:{ Reno.default_config with recovery = Reno.Sack_recovery }
+                 "sack")
+              with
+              SB.start_time = 5.;
+            };
+            SB.tfrc "tfrc";
+            SB.cross "cross";
+          ]),
+      "reno:3119/3015 newreno:4532/4462 sack:3326/3248 tfrc:4902/4219 \
+       cross:1760/1646 util 0x1.eea209aaa4726p-1 queue 0x1.454520ce46b0bp+4 \
+       jain 0x1.d69408af56ab6p-1" );
+    ( "red pareto",
+      (fun () ->
+        SB.run ~seed:32L
+          ~discipline:
+            (Pftk_netsim.Queue_discipline.red ~capacity:80 ~min_threshold:10.
+               ~max_threshold:40. ())
+          ~duration:40.
+          (List.init 6 (fun i -> SB.reno (Printf.sprintf "reno-%d" i))
+          @ [
+              SB.cross
+                ~config:
+                  {
+                    Pftk_netsim.Cross_traffic.default with
+                    Pftk_netsim.Cross_traffic.rate = 400.;
+                    pareto_shape = Some 1.5;
+                  }
+                "pareto";
+            ])),
+      "reno-0:4658/4595 reno-1:4678/4604 reno-2:4005/3927 reno-3:4478/4410 \
+       reno-4:4911/4828 reno-5:4502/4424 pareto:4307/4158 util \
+       0x1.c6c3760bf6566p-1 queue 0x1.5a8c609cd3c54p+3 jain \
+       0x1.fdfa0fb614449p-1" );
+  ]
+
+let bottleneck_digest (r : SB.result) =
+  String.concat " "
+    (List.map
+       (fun (f : SB.flow_result) ->
+         Printf.sprintf "%s:%d/%d" f.SB.name f.SB.packets_sent
+           f.SB.packets_delivered)
+       r.SB.flows)
+  ^ Printf.sprintf " util %h queue %h jain %h" r.SB.bottleneck_utilization
+      r.SB.bottleneck_mean_queue r.SB.jain_fairness
+
+let test_golden_bottlenecks () =
+  List.iter
+    (fun (name, run, expected) ->
+      Alcotest.(check string) name expected (bottleneck_digest (run ())))
+    golden_bottlenecks
+
+(* Per packet sent, a run allocates the segment and ACK records, the
+   recorder's event and a few boxed floats; the event core and the links
+   allocate nothing.  Before they were rewritten the validate scenario took
+   150 minor words per packet and the 32-flow bottleneck 155. *)
+let check_words_per_packet what ~packets words =
+  let per_packet = words /. float_of_int packets in
+  if not (per_packet < 80.) then
+    Alcotest.failf "%s: %.0f minor words for %d packets (%.1f per packet)" what
+      words packets per_packet
+
+let test_connection_allocation () =
+  (* The validate artifact's scenario: 300 s at p = 0.02. *)
+  let scenario =
+    {
+      lossless_scenario with
+      Connection.data_loss = bernoulli 42L 0.02;
+      sender = { Reno.default_config with wm = 32 };
+    }
+  in
+  let before = Gc.minor_words () in
+  let r = Connection.run ~seed:42L ~duration:300. scenario in
+  check_words_per_packet "validate run" ~packets:r.Connection.packets_sent
+    (Gc.minor_words () -. before)
+
+let test_bottleneck_allocation () =
+  let specs = List.init 32 (fun i -> SB.reno (Printf.sprintf "reno-%d" i)) in
+  let before = Gc.minor_words () in
+  let r = SB.run ~seed:61L ~duration:40. specs in
+  let packets =
+    List.fold_left (fun n (f : SB.flow_result) -> n + f.SB.packets_sent) 0 r.SB.flows
+  in
+  check_words_per_packet "32-flow bottleneck" ~packets (Gc.minor_words () -. before)
 
 (* --- Reno mechanics under a microscope ------------------------------------------------
    Deterministic scenarios with scripted losses, verified event by event
@@ -666,7 +872,10 @@ let test_config_of_params () =
 let test_round_sim_validation () =
   Alcotest.check_raises "bad duration"
     (Invalid_argument "Round_sim.run: duration must be positive") (fun () ->
-      ignore (Round_sim.run ~duration:0. ~loss:Loss.none base_config))
+      ignore (Round_sim.run ~duration:0. ~loss:Loss.none base_config));
+  Alcotest.check_raises "infinite duration"
+    (Invalid_argument "Round_sim.run: duration must be finite") (fun () ->
+      ignore (Round_sim.run ~duration:Float.infinity ~loss:Loss.none base_config))
 
 let () =
   Alcotest.run "pftk_tcp"
@@ -701,6 +910,14 @@ let () =
           case "rtt samples" test_connection_rtt_samples_positive;
           case "deterministic" test_connection_deterministic;
           slow_case "dup-ack threshold 2" test_connection_dup_ack_threshold_2;
+          case "validation" test_connection_validation;
+          case "validate run allocates little" test_connection_allocation;
+          case "32-flow bottleneck allocates little" test_bottleneck_allocation;
+        ] );
+      ( "netsim-golden",
+        [
+          case "connection scenarios" test_golden_connections;
+          case "shared-bottleneck scenarios" test_golden_bottlenecks;
         ] );
       ( "reno-microscope",
         [
