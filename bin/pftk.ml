@@ -199,6 +199,7 @@ let latency_cmd =
 let tfrc_cmd =
   let run rtt p seed =
     checked (fun () -> Params.check_p p);
+    let params = checked (fun () -> Params.make ~rtt ~t0:(4. *. rtt) ()) in
     let controller = Tfrc.Controller.create () in
     let rng = Pftk_stats.Rng.create ~seed () in
     Format.fprintf ppf "TFRC controller under p=%g, RTT=%gs:@." p rtt;
@@ -221,7 +222,6 @@ let tfrc_cmd =
           | Some est -> Printf.sprintf "%.4f" est
           | None -> "-")
     done;
-    let params = Params.make ~rtt ~t0:(4. *. rtt) () in
     Format.fprintf ppf "eq. (33) at the true p: %.2f pkt/s@."
       (Approx_model.send_rate params p)
   in
@@ -271,7 +271,9 @@ let simulate_cmd =
     in
     (match dump with
     | Some path ->
-        Pftk_trace.Serialize.save path recorder;
+        (match Pftk_trace.Serialize.save path recorder with
+        | () -> ()
+        | exception Sys_error msg -> fail_trace path msg);
         Format.fprintf ppf "trace written to %s (%d events)@." path
           (Pftk_trace.Recorder.length recorder)
     | None -> ());
@@ -866,6 +868,16 @@ let sensitivity_cmd =
     (Cmd.info "sensitivity" ~doc:"Input elasticities of the full model.")
     Term.(const run $ const ())
 
+let ablations_cmd =
+  let run () = Pftk_experiments.Ablations.print ppf in
+  Cmd.v
+    (Cmd.info "ablations"
+       ~doc:
+         "Ablations: the paper's design choices (Q-hat, eq. (33), loss \
+          process, stack quirks, TCP flavor, recovery, queue discipline, \
+          AIMD, delayed ACKs) varied one at a time, at fixed seeds.")
+    Term.(const run $ const ())
+
 let figwindow_cmd =
   let run seed = Pftk_experiments.Fig_window.(print ppf (generate ~seed ())) in
   Cmd.v
@@ -1207,6 +1219,7 @@ let main_cmd =
       validate_cmd;
       fairness_cmd;
       sensitivity_cmd;
+      ablations_cmd;
       meanfield_cmd;
       redstability_cmd;
       all_cmd;

@@ -44,7 +44,8 @@ let run ?jobs ?chunk kernel c =
 (* The batched inverse rides on the scalar segment-aware bisection: at
    ~240 model evaluations per row there is nothing to gain from a
    specialized loop, only from the fan-out.  Rows whose target rate has
-   no sustaining loss budget get a NaN sentinel. *)
+   no sustaining loss budget (the scalar's [None], which covers
+   non-positive and NaN targets) get a NaN sentinel. *)
 let loss_budget_into ?(jobs = 1) ?(chunk = default_chunk) ~b (c : Columns.t)
     ~rates out =
   if jobs < 1 then invalid_arg "Batch.Engine.loss_budget_into: jobs must be >= 1";
@@ -63,11 +64,9 @@ let loss_budget_into ?(jobs = 1) ?(chunk = default_chunk) ~b (c : Columns.t)
     let params = Pftk_core.Params.make ~b ~wm ~rtt ~t0 () in
     let rate = Float.Array.unsafe_get rates i in
     let v =
-      if not (rate > 0.) then Float.nan
-      else
-        match Pftk_core.Inverse.loss_budget params ~rate with
-        | Some p -> p
-        | None -> Float.nan
+      match Pftk_core.Inverse.loss_budget params ~rate with
+      | Some p -> p
+      | None -> Float.nan
     in
     Float.Array.unsafe_set out i v
   in

@@ -2,8 +2,9 @@ let loss_for_rate ?(lo = 1e-9) ?(hi = 0.999) ?(tolerance = 1e-9) model target =
   if not (0. < lo && lo < hi && hi < 1.) then
     invalid_arg "Inverse.loss_for_rate: need 0 < lo < hi < 1";
   let rate_lo = model lo and rate_hi = model hi in
-  (* model is decreasing: rate_lo is the highest achievable rate. *)
-  if target > rate_lo || target < rate_hi then None
+  (* model is decreasing: rate_lo is the highest achievable rate.  Written
+     as a membership test so that a NaN target is outside too. *)
+  if not (rate_hi <= target && target <= rate_lo) then None
   else begin
     (* Bisection on log p: rates span orders of magnitude over (0, 1).
        Invariant: [model (exp log_lo) >= target > model (exp log_hi)], so

@@ -19,8 +19,8 @@ val loss_for_rate :
 (** [loss_for_rate model target] finds [p] in [\[lo, hi\]] (defaults
     [1e-9, 0.999]) with [model p = target], assuming [model] is
     non-increasing in [p].  [None] when the target lies outside
-    [model hi .. model lo].  [tolerance] is relative on [log p] (default
-    1e-9).
+    [model hi .. model lo], or is NaN.  [tolerance] is relative on
+    [log p] (default 1e-9).
 
     When several losses attain the target — every capped model plateaus at
     [Wm/RTT] below the window-limited knee — the result is the {e largest}
@@ -43,7 +43,9 @@ val loss_budget : Params.t -> rate:float -> float option
     [rate] (packets/s).  Eq. (32) is only piecewise monotone — the send
     rate jumps upward where [E[W_u]] crosses [W_m] — so this searches the
     unconstrained and window-limited segments separately rather than
-    trusting a single bisection across the knee. *)
+    trusting a single bisection across the knee.  [None] when no loss in
+    [\[1e-9, 0.999\]] sustains [rate], which includes every non-positive,
+    infinite or NaN [rate]. *)
 
 val rate_in_bytes : mss:int -> float -> float
 [@@pftk.unit "_ -> pkt/s -> byte/s"]

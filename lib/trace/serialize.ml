@@ -416,9 +416,16 @@ let read ?file ic =
     ic;
   recorder
 
+(* Closing flushes, so it can fail (a full disk); that failure must
+   reach the caller as the [Sys_error] it is, not wrapped in
+   [Fun.Finally_raised]. *)
 let save path recorder =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc recorder)
+  match write oc recorder with
+  | () -> close_out oc
+  | exception e ->
+      close_out_noerr oc;
+      raise e
 
 let load path =
   let ic = open_in path in

@@ -51,7 +51,9 @@ val iter_file : string -> (Event.t -> unit) -> unit
 (** {!iter_channel} over a file path; errors carry the path. *)
 
 val save : string -> Recorder.t -> unit
-(** Write to a file path. *)
+(** Write to a file path.  A file that cannot be opened or written,
+    including a write that fails when the file is closed, raises
+    [Sys_error]. *)
 
 val load : string -> Recorder.t
 (** Read from a file path; errors carry the path. *)

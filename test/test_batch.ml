@@ -197,18 +197,21 @@ let test_subnormal_p_matches_scalar () =
 (* --- Inverse ---------------------------------------------------------------- *)
 
 let test_loss_budget_matches_scalar () =
-  let n = 40 in
+  let n = 42 in
   let c = mixed_columns n in
   let rates = Float.Array.make n 0. in
   for i = 0 to n - 1 do
     (* A mix of attainable targets, unattainable ones, and invalid
-       (non-positive / NaN) targets that must map to the NaN sentinel. *)
+       (non-positive, infinite, NaN) targets that must map to the NaN
+       sentinel. *)
     let r =
-      match i mod 4 with
+      match i mod 6 with
       | 0 -> 5. +. float_of_int i
       | 1 -> 1e12
       | 2 -> 0.
-      | _ -> Float.nan
+      | 3 -> Float.nan
+      | 4 -> -1.
+      | _ -> Float.infinity
     in
     Float.Array.set rates i r
   done;
@@ -216,19 +219,19 @@ let test_loss_budget_matches_scalar () =
   for i = 0 to n - 1 do
     let _, rtt, t0, wm = Columns.row c i in
     let rate = Float.Array.get rates i in
+    let params =
+      Pftk_core.Params.make ~b:2 ~wm:(Columns.wm_to_int wm) ~rtt ~t0 ()
+    in
     let expected =
-      if not (rate > 0.) then Float.nan
-      else
-        let params =
-          Pftk_core.Params.make ~b:2 ~wm:(Columns.wm_to_int wm) ~rtt ~t0 ()
-        in
-        match Pftk_core.Inverse.loss_budget params ~rate with
-        | Some p -> p
-        | None -> Float.nan
+      match Pftk_core.Inverse.loss_budget params ~rate with
+      | Some p -> p
+      | None -> Float.nan
     in
     if not (bits_eq expected (Float.Array.get out i)) then
       Alcotest.failf "row %d: loss budget %h <> scalar %h" i
-        (Float.Array.get out i) expected
+        (Float.Array.get out i) expected;
+    if i mod 6 >= 2 && not (Float.is_nan expected) then
+      Alcotest.failf "row %d: target %g has loss budget %h" i rate expected
   done
 
 (* --- serve CLI -------------------------------------------------------------- *)

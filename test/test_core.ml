@@ -511,10 +511,22 @@ let test_inverse_roundtrip () =
       | None -> Alcotest.failf "no solution for rate %g" rate)
     [ 0.002; 0.02; 0.2 ]
 
+(* A NaN target is out of range too: it compares false with every rate,
+   so only a membership test keeps it out of the bisection, which would
+   walk down to the bracket's floor, 1e-9.  Both loss_budget routes: the
+   unlimited window and the search on each side of the W_m knee. *)
 let test_inverse_out_of_range () =
   let params = Params.make ~rtt:0.2 ~t0:2. ~wm:10 () in
   Alcotest.(check bool) "unreachable rate" true
-    (Inverse.loss_budget params ~rate:1e9 = None)
+    (Inverse.loss_budget params ~rate:1e9 = None);
+  List.iter
+    (fun params ->
+      let label = Format.asprintf "%a" Params.pp params in
+      Alcotest.(check bool) (label ^ ": NaN loss_for_rate") true
+        (Inverse.loss_for_rate (Full_model.send_rate params) Float.nan = None);
+      Alcotest.(check bool) (label ^ ": NaN loss_budget") true
+        (Inverse.loss_budget params ~rate:Float.nan = None))
+    [ Params.make ~rtt:0.2 ~t0:2. (); params ]
 
 let test_loss_budget_monotone () =
   let params = Params.make ~rtt:0.2 ~t0:2. ~wm:40 () in

@@ -43,8 +43,8 @@ let test_l2_determinism () =
   check_rules "Unix.gettimeofday in lib/" [ "L2" ]
     (Lint.lint_source ~path:"lib/trace/fixture.ml"
        "let t () = Unix.gettimeofday ()\n");
-  check_rules "wall clock is fine in bench/" []
-    (Lint.lint_source ~path:"bench/fixture.ml"
+  check_rules "wall clock is fine in perfbench/" []
+    (Lint.lint_source ~path:"perfbench/fixture.ml"
        "let t () = Unix.gettimeofday ()\n")
 
 (* --- L3: module-toplevel mutable state ------------------------------------- *)

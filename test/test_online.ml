@@ -536,8 +536,8 @@ let test_equivalence_streamed_from_disk () =
 
 let test_convergence_experiment_shape () =
   (* One short run over the first profile only (generate over the full
-     catalog is exercised by bench): the checkpoints are complete and the
-     final summary is self-consistent. *)
+     catalog runs in `pftk all`, whose output check.sh pins): the
+     checkpoints are complete and the final summary is self-consistent. *)
   let profile = List.hd Path_profile.all in
   let snaps = ref [] in
   let pr =

@@ -233,6 +233,30 @@ let test_cli_corrupt_trace () =
   Alcotest.(check bool) "no backtrace" true
     (not (contains ~sub:"Fatal error" stderr))
 
+(* A trace file that cannot be written fails like one that cannot be
+   read: exit 1 and a message naming the file, not an uncaught
+   exception (exit 125) after the whole simulation.  The path under a
+   regular file cannot be opened; /dev/full, where there is one, opens
+   but fails the write. *)
+let test_cli_unwritable_trace () =
+  let fails path =
+    let code =
+      Sys.command
+        (Printf.sprintf
+           "../bin/pftk.exe simulate --dump-trace %s --duration 10 \
+            1>/dev/null 2>cli_stderr.txt"
+           path)
+    in
+    Alcotest.(check int) (path ^ ": exit 1") 1 code;
+    let stderr = read_file "cli_stderr.txt" in
+    Alcotest.(check bool) (path ^ ": names the file") true
+      (contains ~sub:("pftk: cannot use trace file " ^ path) stderr);
+    Alcotest.(check bool) (path ^ ": no uncaught exception") true
+      (not (contains ~sub:"uncaught exception" stderr))
+  in
+  fails "corrupt.trace/out.trace";
+  if Sys.file_exists "/dev/full" then fails "/dev/full"
+
 (* Path parameters the model rejects are bad arguments: a one-line
    message and exit 2, never an uncaught exception (exit 125). *)
 let test_cli_bad_path_parameters () =
@@ -264,6 +288,9 @@ let test_cli_bad_path_parameters () =
       ("throughput -p nan", "loss probability p=nan outside (0, 1)");
       ("latency -p 2", "loss probability p=2 outside (0, 1)");
       ("tfrc -p 2", "loss probability p=2 outside (0, 1)");
+      ("tfrc --rtt 0", "Params: rtt must be positive");
+      ("tfrc --rtt=-1", "Params: rtt must be positive");
+      ("tfrc --rtt nan", "Params: rtt must be positive");
       ("serve --chunk 0", "Batch.Stream.run: chunk must be >= 1");
       ("serve -b 0", "Batch.Kernel.make: b must be >= 1");
       ("serve --model tfrc --t0-factor nan", "Batch.Kernel.make: t0_factor must be positive");
@@ -340,6 +367,7 @@ let () =
       ( "cli",
         [
           case "corrupt trace" test_cli_corrupt_trace;
+          case "unwritable trace" test_cli_unwritable_trace;
           case "bad path parameters" test_cli_bad_path_parameters;
           case "selfcheck smoke" test_cli_selfcheck_smoke;
         ] );

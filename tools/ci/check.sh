@@ -41,12 +41,16 @@
 #                             through `pftk serve --batch`: the input,
 #                             stdout and stderr must match their
 #                             pinned digests
-#  11. batch smoke         -- timed bench-batch runs on the release
+#  11. ablations           -- the whole stdout of `pftk ablations` (the
+#                             paper's design choices varied one at a
+#                             time, fixed seeds) must match its pinned
+#                             digest
+#  12. batch smoke         -- timed bench-batch runs on the release
 #                             binary asserting the batch engine's
 #                             speedup floors and bitwise equality, and
 #                             that a jobs=1 pass of every kernel
 #                             allocates 0 minor words per row
-#  12. meanfield smoke     -- the mean-field backend on the release
+#  13. meanfield smoke     -- the mean-field backend on the release
 #                             binary: a 100000-flow RED equilibrium
 #                             held to a sub-second solver budget, and
 #                             the quick netsim cross-validation
@@ -223,6 +227,27 @@ serve_format_digests() {
 
 phase "serve format: pftk serve --batch on a generated stream, pinned digests" \
   serve_format_digests
+
+# The ablation studies end to end (4 345 bytes, about 1.4 s on the release
+# binary): Q-hat, eq. (33), three loss processes, stack quirks, TCP
+# flavors, recovery styles, queue disciplines, cross-traffic, AIMD and
+# delayed ACKs.  Every simulated row runs at a fixed seed, so the output
+# has one digest (OCaml 5.1.1 on x86-64 Linux, like the others).  On a
+# mismatch the output is kept for diffing.
+ablations_md5=5d0ca4ce7d8169263520872afa2f9665
+
+ablations_digest() {
+  _out=$(mktemp -d)
+  dune exec --profile release bin/pftk.exe -- ablations >"$_out/ablations"
+  _md5=$(md5_of "$_out/ablations")
+  if [ "$_md5" != "$ablations_md5" ]; then
+    say "pftk ablations stdout has MD5 $_md5, expected $ablations_md5; kept in $_out"
+    return 1
+  fi
+  rm -r "$_out"
+}
+
+phase "ablations: pftk ablations stdout, pinned digest" ablations_digest
 
 # Speedup floors are deliberately below the measured steady-state values
 # (eq. (33): ~4.3x vs its own scalar, ~13x vs the scalar full model;

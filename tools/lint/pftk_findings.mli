@@ -105,7 +105,7 @@ end
 val expand_build_roots : string list -> string list
 (** Each root looked up both as given and under [_build/default], so the
     cmt-reading tools work from the build context (dune alias rules) and
-    from the source root (developers, the bench gate). *)
+    from the source root (developers). *)
 
 val run_cli :
   tool:string ->

@@ -1,14 +1,14 @@
 (* Command-line front end: [pftk_flow DIR...] runs the interprocedural
    F1-F4 analysis over every .cmt/.cmti under the given roots (default:
-   lib bin bench examples). Roots are looked up both as given and under
+   lib bin examples). Roots are looked up both as given and under
    _build/default, so the tool works from the build context (the @flow
-   rule) and from the source root (developers, the bench gate). Prints
+   rule) and from the source root (developers). Prints
    findings as file:line:col [rule] message, or a JSON array with
    --format=json, and exits non-zero if any survive. *)
 
 let () =
   Pftk_findings.run_cli ~tool:"pftk-flow"
-    ~default_roots:[ "lib"; "bin"; "bench"; "examples" ]
+    ~default_roots:[ "lib"; "bin"; "examples" ]
     ~analyze:(fun roots ->
       let paths = Pftk_findings.expand_build_roots roots in
       match Pftk_flow_engine.cmt_files paths with

@@ -11,8 +11,8 @@ open Parsetree
 
 (* The finding record, its renderings, the path-zone tests and the
    [@lint.allow] machinery are shared by all three analyzers; see
-   pftk_findings.mli.  Re-exported here so existing consumers (tests,
-   the bench gate) keep their spelling. *)
+   pftk_findings.mli.  Re-exported here so existing consumers (the
+   tests) keep their spelling. *)
 type finding = Pftk_findings.finding = {
   file : string;
   line : int;
@@ -158,8 +158,8 @@ let check_ident ctx lid (loc : Location.t) =
            so parallel runs stay reproducible"
     | [ "Sys"; "time" ] | [ "Unix"; "gettimeofday" ] | [ "Unix"; "time" ] ->
         report ctx loc "L2"
-          "wall-clock reading in lib/; timing belongs in bench/, not in model \
-           or experiment code"
+          "wall-clock reading in lib/; timing belongs in bin/ or perfbench/, \
+           not in model or experiment code"
     | [ "Obj"; "magic" ] -> report ctx loc "L5" "Obj.magic defeats the type system"
     | [ "List"; "hd" ] ->
         report ctx loc "L5"

@@ -10,8 +10,8 @@
       and record-identity hazards).
     - [L2] determinism: no [Random.*], [Sys.time] or
       [Unix.gettimeofday] anywhere under [lib/]; randomness flows only
-      through [Pftk_stats.Rng] and wall-clock readings belong in
-      [bench/].
+      through [Pftk_stats.Rng] and wall-clock readings belong in [bin/]
+      or [perfbench/].
     - [L3] domain-safety: no module-toplevel [ref], [Hashtbl.create],
       [Buffer.create] or mutable-field record literal in [lib/]; shared
       mutable state races under [Pftk_parallel] fan-outs.
