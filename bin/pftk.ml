@@ -99,19 +99,27 @@ let fail_trace path msg : 'a =
 let trace_error (e : Pftk_trace.Serialize.error) =
   Pftk_trace.Serialize.error_message { e with Pftk_trace.Serialize.file = None }
 
+(* A [Sys_error] about [path] starts with "path: "; fail_trace prints the
+   path itself. *)
+let sys_error path msg =
+  let prefix = path ^ ": " in
+  if String.starts_with ~prefix msg then
+    String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+  else msg
+
 let load_trace path =
   match Pftk_trace.Serialize.load path with
   | recorder ->
       if Pftk_trace.Recorder.length recorder = 0 then
         fail_trace path "trace contains no events"
       else recorder
-  | exception Sys_error msg -> fail_trace path msg
+  | exception Sys_error msg -> fail_trace path (sys_error path msg)
   | exception Pftk_trace.Serialize.Error e -> fail_trace path (trace_error e)
 
 let iter_trace path f =
   match Pftk_trace.Serialize.iter_file path f with
   | () -> ()
-  | exception Sys_error msg -> fail_trace path msg
+  | exception Sys_error msg -> fail_trace path (sys_error path msg)
   | exception Pftk_trace.Serialize.Error e -> fail_trace path (trace_error e)
 
 (* --- rate / throughput / inverse / sweep -------------------------------- *)
@@ -197,9 +205,12 @@ let latency_cmd =
     Term.(const run $ rtt_arg $ t0_arg $ b_arg $ wm_arg $ p_arg $ packets_arg)
 
 let tfrc_cmd =
+  (* Each epoch sends one RTT's worth of packets, so --rtt sets the work. *)
+  let max_epoch_packets = 10_000_000 in
   let run rtt p seed =
     checked (fun () -> Params.check_p p);
     let params = checked (fun () -> Params.make ~rtt ~t0:(4. *. rtt) ()) in
+    if not (Float.is_finite rtt) then bad_argument "--rtt must be finite";
     let controller = Tfrc.Controller.create () in
     let rng = Pftk_stats.Rng.create ~seed () in
     Format.fprintf ppf "TFRC controller under p=%g, RTT=%gs:@." p rtt;
@@ -207,9 +218,12 @@ let tfrc_cmd =
     for epoch = 1 to 24 do
       Tfrc.Controller.on_rtt_sample controller rtt;
       (* One RTT's worth of packets at the current rate. *)
-      let n =
-        max 1 (int_of_float (Tfrc.Controller.allowed_rate controller *. rtt))
-      in
+      let want = Tfrc.Controller.allowed_rate controller *. rtt in
+      if want > float_of_int max_epoch_packets then
+        bad_argument
+          (Printf.sprintf "epoch %d would send %.3g packets, over the limit of %d" epoch want
+             max_epoch_packets);
+      let n = max 1 (int_of_float want) in
       for _ = 1 to n do
         Tfrc.Controller.on_packet controller
           ~lost:(Pftk_stats.Rng.bernoulli rng p)
@@ -226,7 +240,19 @@ let tfrc_cmd =
       (Approx_model.send_rate params p)
   in
   let doc = "Drive the TFRC-style controller against synthetic loss." in
-  Cmd.v (Cmd.info "tfrc" ~doc) Term.(const run $ rtt_arg $ p_arg $ seed_arg)
+  let man =
+    [
+      `S Manpage.s_description;
+      `P
+        (Printf.sprintf
+           "Each of the 24 epochs sends one RTT's worth of packets at the \
+            controller's allowed rate.  A $(b,--rtt) that is not finite, or an \
+            epoch that would send more than %d packets, stops the run before \
+            that epoch with exit 2."
+           max_epoch_packets);
+    ]
+  in
+  Cmd.v (Cmd.info "tfrc" ~doc ~man) Term.(const run $ rtt_arg $ p_arg $ seed_arg)
 
 (* --- simulate / analyze -------------------------------------------------- *)
 
@@ -273,7 +299,7 @@ let simulate_cmd =
     | Some path ->
         (match Pftk_trace.Serialize.save path recorder with
         | () -> ()
-        | exception Sys_error msg -> fail_trace path msg);
+        | exception Sys_error msg -> fail_trace path (sys_error path msg));
         Format.fprintf ppf "trace written to %s (%d events)@." path
           (Pftk_trace.Recorder.length recorder)
     | None -> ());

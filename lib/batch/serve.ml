@@ -1,6 +1,7 @@
-(* Both directions work on bytes in place: the scanner cuts a line's
-   fields inside the caller's bytes and stores them straight into a
-   column row, the writer spells a rate straight into the caller's bytes.
+(* Both directions work on bytes in place: the scanner walks a line once
+   inside the caller's bytes, storing each field straight into a column
+   row as it cuts it, and the writer spells a rate straight into the
+   caller's bytes.
    DESIGN.md ("Serve text format") explains why the fast paths agree bit
    for bit and byte for byte with [float_of_string] and ["%.17g"]. *)
 
@@ -136,82 +137,84 @@ let format_rate x =
 
 (* --- Scanner ---------------------------------------------------------- *)
 
+type cursor = { eol : int; mutable limit : int; mutable pos : int }
+
+exception Incomplete
+
 let[@inline] is_blank c = c = ' ' || c = '\t' || c = '\r'
+let[@inline] at_end s i cur = Bytes.unsafe_get s i = '\n' && i >= cur.eol
+let[@inline] ends_field s i cur = is_blank (Bytes.unsafe_get s i) || at_end s i cur
 let[@inline] digit s i = Char.code (Bytes.unsafe_get s i) - Char.code '0'
 let[@inline] is_digit d = d >= 0 && d <= 9
 
-let rec skip s i hi = if i < hi && is_blank (Bytes.unsafe_get s i) then skip s (i + 1) hi else i
-
-let rec field_end s i hi =
-  if i < hi && not (is_blank (Bytes.unsafe_get s i)) then field_end s (i + 1) hi else i
-
-let rec count_fields s i hi n =
-  let i = skip s i hi in
-  if i >= hi then n else count_fields s (field_end s i hi) hi (n + 1)
+let rec skip s i = if is_blank (Bytes.unsafe_get s i) then skip s (i + 1) else i
+let rec field_end s i cur = if ends_field s i cur then i else field_end s (i + 1) cur
+let rec line_end s i cur = if at_end s i cur then i else line_end s (i + 1) cur
 
 (* Every token the fast path declines goes to [float_of_string] on a
    copy, which accepts, rejects and decodes it as it always has: [nan],
-   [inf], [0x1p-3], [1_0], a NUL, 19 or more significand digits. *)
-let slow_number s lo hi col j =
-  match float_of_string_opt (Bytes.sub_string s lo (hi - lo)) with
+   [inf], [0x1p-3], [1_0], a NUL, 19 or more significand digits.  It
+   converts only fields of a whole line. *)
+let slow_number s i cur col j =
+  let stop = field_end s i cur in
+  if line_end s stop cur = cur.limit then raise_notrace Incomplete;
+  cur.pos <- stop;
+  match float_of_string_opt (Bytes.sub_string s i (stop - i)) with
   | Some x ->
       Float.Array.set col j x;
       true
   | None -> false
 
-(* The exponent of a decimal token: [e] or [E], an optional sign and 1 to
-   4 digits filling [s.[i .. hi-1]]; [min_int] when it is not one. *)
-let exponent s i hi =
-  let sign = if i + 1 < hi then Bytes.unsafe_get s (i + 1) else ' ' in
-  let start = if sign = '+' || sign = '-' then i + 2 else i + 1 in
-  if hi - start < 1 || hi - start > 4 then min_int
-  else begin
-    let e = ref 0 and k = ref start in
-    while !k < hi && is_digit (digit s !k) do
-      e := (10 * !e) + digit s !k;
+(* Stores the number spelled by the field starting at [s.[i]] in
+   [col.(j)], leaves its end in [cur.pos], and says whether it is one.  A
+   token [[+-]d*[.d*][(e|E)[+-]d{1,4}]] with 1 to 18 significand digits
+   [w <= 2^53] and a net decimal exponent [|e| <= 22] is [w * 10^e] or
+   [w / 10^-e]: one correctly rounded operation on two exact doubles,
+   which is what glibc's [strtod] returns. *)
+let number s i cur col j =
+  let c = Bytes.unsafe_get s i in
+  let start = if c = '+' || c = '-' then i + 1 else i in
+  let w = ref 0 and digits = ref 0 and point = ref (-1) and k = ref start and more = ref true in
+  while !more do
+    let d = digit s !k in
+    if is_digit d then begin
+      w := (10 * !w) + d;
+      incr digits;
+      incr k
+    end
+    else if Bytes.unsafe_get s !k = '.' && !point < 0 then begin
+      point := !digits;
+      incr k
+    end
+    else more := false
+  done;
+  (* The exponent: [e] or [E], an optional sign and 1 to 4 digits. *)
+  let exp = ref 0 and exp_digits = ref 1 in
+  if Bytes.unsafe_get s !k = 'e' || Bytes.unsafe_get s !k = 'E' then begin
+    let sign = Bytes.unsafe_get s (!k + 1) in
+    let first = if sign = '+' || sign = '-' then !k + 2 else !k + 1 in
+    k := first;
+    while is_digit (digit s !k) do
+      exp := (10 * !exp) + digit s !k;
       incr k
     done;
-    if !k < hi then min_int else if sign = '-' then - !e else !e
-  end
-
-(* Stores the number spelled by [s.[lo .. hi-1]] in [col.(j)]; false when
-   it is not one.  A token [[+-]d*[.d*][(e|E)[+-]d{1,4}]] with 1 to 18
-   significand digits [w <= 2^53] and a net decimal exponent [|e| <= 22]
-   is [w * 10^e] or [w / 10^-e]: one correctly rounded operation on two
-   exact doubles, which is what glibc's [strtod] returns. *)
-let number s lo hi col j =
-  let c = if lo < hi then Bytes.unsafe_get s lo else ' ' in
-  let start = if c = '+' || c = '-' then lo + 1 else lo in
-  let w = ref 0 and digits = ref 0 and point = ref (-1) and k = ref start in
-  while
-    !k < hi
-    && (is_digit (digit s !k) || (Bytes.unsafe_get s !k = '.' && !point < 0))
-  do
-    if is_digit (digit s !k) then begin
-      w := (10 * !w) + digit s !k;
-      incr digits
-    end
-    else point := !digits;
-    incr k
-  done;
-  let frac = if !point < 0 then 0 else !digits - !point in
-  let exp =
-    if !k = hi then 0
-    else if Bytes.unsafe_get s !k = 'e' || Bytes.unsafe_get s !k = 'E' then exponent s !k hi
-    else min_int
-  in
-  if !digits = 0 || !digits > 18 || !w > 1 lsl 53 || exp = min_int then slow_number s lo hi col j
+    exp_digits := !k - first;
+    if sign = '-' then exp := - !exp
+  end;
+  let e = !exp - if !point < 0 then 0 else !digits - !point in
+  if
+    !digits = 0 || !digits > 18 || !w > 1 lsl 53 || !exp_digits < 1 || !exp_digits > 4
+    || e < -22 || e > 22
+    || not (ends_field s !k cur)
+  then slow_number s i cur col j
   else begin
-    let e = exp - frac in
-    if e < -22 || e > 22 then slow_number s lo hi col j
-    else begin
-      let x =
-        if e >= 0 then float_of_int !w *. Array.unsafe_get pow10 e
-        else float_of_int !w /. Array.unsafe_get pow10 (-e)
-      in
-      Float.Array.set col j (if c = '-' then -.x else x);
-      true
-    end
+    let x =
+      if e >= 0 then float_of_int !w *. Array.unsafe_get pow10 e
+      else float_of_int !w /. Array.unsafe_get pow10 (-e)
+    in
+    Float.Array.set col j (if c = '-' then -.x else x);
+    cur.pos <- !k;
+    true
   end
 
 let field_names = [| "p"; "rtt"; "t0"; "wm" |]
@@ -221,37 +224,50 @@ let not_a_number idx s lo hi =
     (Printf.sprintf "field %d (%s): %S is not a number" (idx + 1) field_names.(idx)
        (Bytes.sub_string s lo (hi - lo)))
 
-let scan_line s lo hi (c : Columns.t) j =
-  if hi - lo > max_line_bytes then Error (too_long (hi - lo))
+let column (c : Columns.t) k =
+  match k with 0 -> c.Columns.p | 1 -> c.Columns.rtt | 2 -> c.Columns.t0 | _ -> c.Columns.wm
+
+(* One walk cuts the fields at blanks and decodes the first four into row
+   [j] as it goes, counting all of them, and stops at the line's end; the
+   diagnostics are then chosen in their order: length, empty line, field
+   count, the first field that is not a number. *)
+let scan_line cur s lo (c : Columns.t) j =
+  let fields = ref 0 and bad = ref (-1) and bad_lo = ref 0 and bad_hi = ref 0 in
+  let i = ref (skip s lo) in
+  while not (at_end s !i cur) do
+    let f = !i in
+    if !fields >= 4 then cur.pos <- field_end s f cur
+    else if (not (number s f cur (column c !fields) j)) && !bad < 0 then begin
+      bad := !fields;
+      bad_lo := f;
+      bad_hi := cur.pos
+    end;
+    incr fields;
+    i := skip s cur.pos
+  done;
+  let stop = !i in
+  cur.pos <- stop;
+  if stop = cur.limit then raise_notrace Incomplete;
+  if stop - lo > max_line_bytes then Error (too_long (stop - lo))
+  else if !fields = 0 then Error "empty line"
+  else if !fields <> 4 then
+    Error (Printf.sprintf "expected 4 fields (p rtt t0 wm), got %d" !fields)
+  else if !bad >= 0 then not_a_number !bad s !bad_lo !bad_hi
   else begin
-    let a = skip s lo hi in
-    let a_end = field_end s a hi in
-    let b = skip s a_end hi in
-    let b_end = field_end s b hi in
-    let t = skip s b_end hi in
-    let t_end = field_end s t hi in
-    let w = skip s t_end hi in
-    let w_end = field_end s w hi in
-    if a = hi then Error "empty line"
-    else if w = hi || skip s w_end hi < hi then
-      Error
-        (Printf.sprintf "expected 4 fields (p rtt t0 wm), got %d" (count_fields s lo hi 0))
-    else if not (number s a a_end c.Columns.p j) then not_a_number 0 s a a_end
-    else if not (number s b b_end c.Columns.rtt j) then not_a_number 1 s b b_end
-    else if not (number s t t_end c.Columns.t0 j) then not_a_number 2 s t t_end
-    else if not (number s w w_end c.Columns.wm j) then not_a_number 3 s w w_end
-    else begin
-      (* wm <= 0 denotes "no receiver limit", the CLI's --wm convention;
-         NaN stays NaN and is rejected by the scan. *)
-      if Float.Array.get c.Columns.wm j <= 0. then
-        Float.Array.set c.Columns.wm j Columns.unlimited_wm;
-      Ok ()
-    end
+    (* wm <= 0 denotes "no receiver limit", the CLI's --wm convention;
+       NaN stays NaN and is rejected by the scan. *)
+    if Float.Array.get c.Columns.wm j <= 0. then
+      Float.Array.set c.Columns.wm j Columns.unlimited_wm;
+    Ok ()
   end
 
 let parse_line line =
+  let n = String.length line in
+  let s = Bytes.create (n + 1) in
+  Bytes.blit_string line 0 s 0 n;
+  Bytes.unsafe_set s n '\n';
   let c = Columns.create 1 in
-  match scan_line (Bytes.unsafe_of_string line) 0 (String.length line) c 0 with
+  match scan_line { eol = n; limit = -1; pos = 0 } s 0 c 0 with
   | Ok () ->
       Ok
         {

@@ -54,11 +54,27 @@ val format_rate : float -> string
 [@@pftk.unit "pkt/s -> _"]
 (** ["%.17g"] — shortest text that round-trips the exact double. *)
 
-val scan_line : Bytes.t -> int -> int -> Columns.t -> int -> (unit, string) result
-(** [scan_line s lo hi c j] reads the line [s.[lo .. hi-1]] (no
-    newline) into row [j] of [c], bypassing {!Columns.set}: the caller
-    owns the dirty flag.  On [Error], row [j] may hold some of the
-    line's fields.  Syntax only, as {!parse_line}. *)
+type cursor = {
+  eol : int;
+      (** A ['\n'] at or after [eol] ends a line; one before it (only in
+          the string {!parse_line} reads) is a byte of the line. *)
+  mutable limit : int;
+      (** Where the reader stored a ['\n'] after the bytes read so far,
+          while the input may hold more; [-1] once it has ended. *)
+  mutable pos : int;  (** After {!scan_line}: the ['\n'] that ends the line. *)
+}
+(** Where {!scan_line} walks: bytes that always end in a ['\n']. *)
+
+exception Incomplete
+(** The line reached [limit], so it may go on past the bytes read. *)
+
+val scan_line : cursor -> Bytes.t -> int -> Columns.t -> int -> (unit, string) result
+(** [scan_line cur s lo c j] reads the line that starts at [s.[lo]] into
+    row [j] of [c], bypassing {!Columns.set} (the caller owns the dirty
+    flag), in one walk that cuts, decodes and finds the line's end, left
+    in [cur.pos].  Raises {!Incomplete} when that end is [cur.limit].  On
+    [Error], row [j] may hold some of the line's fields.  Syntax only, as
+    {!parse_line}. *)
 
 val parse_line : string -> (query, string) result
 (** Syntax only; domain checking is {!Scan.check_row}'s job (so the

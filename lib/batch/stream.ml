@@ -10,8 +10,18 @@ let block_bytes = 1024
    short stream never pays for a large [chunk]. *)
 let initial_rows = 1024
 
-let rec newline s i stop =
-  if i < stop && Bytes.unsafe_get s i <> '\n' then newline s (i + 1) stop else i
+(* The first '\n' from [s.[i]] on: a line's or the sentinel. *)
+let rec newline s i = if Bytes.unsafe_get s i <> '\n' then newline s (i + 1) else i
+
+(* Reads into [s] from [pos] until one byte is left, for the sentinel, or
+   the channel ends; returns the end of the bytes read. *)
+let rec fill ic s pos =
+  let room = Bytes.length s - 1 - pos in
+  if room = 0 then pos
+  else
+    match input ic s pos room with
+    | 0 -> pos
+    | n -> fill ic s (pos + n)
 
 let run ?(jobs = 1) ?(chunk = Engine.default_chunk) ?(scalar = false) kernel ic
     oc ~err =
@@ -75,10 +85,7 @@ let run ?(jobs = 1) ?(chunk = Engine.default_chunk) ?(scalar = false) kernel ic
       rows := 0
     end
   in
-  let start_line () =
-    incr total;
-    if !lines = Bytes.length !accept then grow ()
-  in
+  let make_room () = if !lines = Bytes.length !accept then grow () in
   let end_line verdict =
     Bytes.set !accept !lines verdict;
     incr lines;
@@ -89,47 +96,67 @@ let run ?(jobs = 1) ?(chunk = Engine.default_chunk) ?(scalar = false) kernel ic
     Printf.fprintf err "pftk serve: line %d: %s\n" !total msg;
     end_line '\000'
   in
-  let deliver s lo hi =
-    start_line ();
+  let cur = { Serve.eol = 0; limit = 0; pos = 0 } in
+  (* Walks the line at [lo] and says whether it was whole: one that
+     reaches [cur.limit] may go on past the bytes read. *)
+  let deliver s lo =
+    make_room ();
     let c = !cols and j = !rows in
-    match Serve.scan_line s lo hi c j with
-    | Error msg -> reject msg
-    | Ok () -> (
-        match
-          Scan.check_row
-            ~p:(Float.Array.get c.Columns.p j)
-            ~rtt:(Float.Array.get c.Columns.rtt j)
-            ~t0:(Float.Array.get c.Columns.t0 j)
-            ~wm:(Float.Array.get c.Columns.wm j)
-        with
-        | Ok () ->
-            incr rows;
-            end_line '\001'
-        | Error (_field, msg) -> reject msg)
+    match Serve.scan_line cur s lo c j with
+    | exception Serve.Incomplete -> false
+    | verdict ->
+        incr total;
+        (match verdict with
+        | Error msg -> reject msg
+        | Ok () -> (
+            match
+              Scan.check_row
+                ~p:(Float.Array.get c.Columns.p j)
+                ~rtt:(Float.Array.get c.Columns.rtt j)
+                ~t0:(Float.Array.get c.Columns.t0 j)
+                ~wm:(Float.Array.get c.Columns.wm j)
+            with
+            | Ok () ->
+                incr rows;
+                end_line '\001'
+            | Error (_field, msg) -> reject msg));
+        true
   in
   let deliver_too_long n =
-    start_line ();
+    make_room ();
+    incr total;
     reject (Serve.too_long n)
   in
   let buf = ref (Bytes.create block_bytes) in
-  (* [start, stop) holds read bytes not yet delivered and [start, scan)
-     no newline; [dropped] counts the bytes of the current line already
-     thrown away (0 unless it is too long). *)
-  let start = ref 0 and scan = ref 0 and stop = ref 0 and dropped = ref 0 in
+  (* [start, stop) holds read bytes not yet delivered, and [!buf.[stop]]
+     is a '\n' sentinel; [dropped] counts the bytes of the current line
+     already thrown away (0 unless it is too long). *)
+  let start = ref 0 and stop = ref 0 and dropped = ref 0 in
   let reading = ref true in
   while !reading do
     let s = !buf in
-    let nl = newline s !scan !stop in
-    if nl < !stop then begin
-      if !dropped > 0 then begin
-        deliver_too_long (!dropped + nl - !start);
-        dropped := 0
+    let next =
+      if !start >= !stop then -1
+      else if !dropped = 0 then if deliver s !start then cur.Serve.pos + 1 else -1
+      else begin
+        let nl = newline s !start in
+        if nl = cur.Serve.limit then -1
+        else begin
+          deliver_too_long (!dropped + nl - !start);
+          dropped := 0;
+          nl + 1
+        end
       end
-      else deliver s !start nl;
-      start := nl + 1;
-      scan := nl + 1
+    in
+    if next >= 0 then start := next
+    else if cur.Serve.limit < 0 then begin
+      if !dropped > 0 then deliver_too_long !dropped;
+      reading := false
     end
     else begin
+      (* Keep the unfinished line, unless it is too long, fill the rest of
+         the block and walk the line again; a full block holding one line
+         doubles. *)
       let kept = !stop - !start in
       let kept =
         if !dropped > 0 || kept > Serve.max_line_bytes then begin
@@ -138,19 +165,13 @@ let run ?(jobs = 1) ?(chunk = Engine.default_chunk) ?(scalar = false) kernel ic
         end
         else kept
       in
-      if kept = Bytes.length s then buf := Bytes.create (2 * kept);
+      if kept + 1 = Bytes.length s then buf := Bytes.create (2 * Bytes.length s);
       Bytes.blit s !start !buf 0 kept;
       let s = !buf in
       start := 0;
-      scan := kept;
-      stop := kept;
-      let n = input ic s kept (Bytes.length s - kept) in
-      if n > 0 then stop := kept + n
-      else begin
-        reading := false;
-        if !dropped > 0 then deliver_too_long !dropped
-        else if kept > 0 then deliver s 0 kept
-      end
+      stop := fill ic s kept;
+      Bytes.unsafe_set s !stop '\n';
+      cur.Serve.limit <- (if !stop < Bytes.length s - 1 then -1 else !stop)
     end
   done;
   flush_batch ();

@@ -2,10 +2,10 @@
    so that re-analysis of a saved trace is bit-identical.
 
    Both directions work on bytes in place.  The writer spells %h floats
-   and %d ints straight into a [Buffer]; the reader scans each line inside
-   one reused read block.  DESIGN.md ("Trace text format") explains why
-   the reader's fast paths agree bit for bit with the stdlib conversions
-   they stand in for. *)
+   and %d ints straight into a [Buffer]; the reader walks each line once
+   inside one reused read block, decoding each field where it cuts it.
+   DESIGN.md ("Trace text format") explains why the reader's fast paths
+   agree bit for bit with the stdlib conversions they stand in for. *)
 
 type error = { file : string option; line : int; reason : string }
 
@@ -140,6 +140,89 @@ let write oc recorder =
 (* A field that neither a fast path nor the stdlib conversion accepts. *)
 exception Bad_field
 
+(* The walk met the end of the bytes read before the line's end. *)
+exception Incomplete
+
+(* Where a walk is.  Every line ends at a '\n': one in the input, or the
+   sentinel stored after the last byte read, so the walk needs no bounds.
+   [pos] is where the last field read ended: the start of the next field,
+   or the '\n' that ends the line.  [floats] holds the line's float
+   fields unboxed until the line is known to be whole. *)
+type cursor = {
+  eol : int;
+      (* A '\n' at or after [eol] ends the line.  One before it, in the
+         string [event_of_line] reads, is a blank to [String.trim] and a
+         byte of a field to [String.split_on_char]. *)
+  mutable limit : int;
+      (* The sentinel while the channel may hold more bytes, else -1: a
+         line that ends at [limit] may go on. *)
+  mutable pos : int;
+  floats : floatarray;
+}
+
+(* A line has at most four float fields (rtt). *)
+let cursor ~eol ~limit = { eol; limit; pos = 0; floats = Float.Array.create 4 }
+
+let[@inline] at_end s i cur = Bytes.unsafe_get s i = '\n' && i >= cur.eol
+
+(* [String.trim]'s blanks. *)
+let[@inline] is_blank s i cur =
+  match Bytes.unsafe_get s i with
+  | ' ' | '\012' | '\r' | '\t' -> true
+  | '\n' -> i < cur.eol
+  | _ -> false
+
+let rec skip s i cur = if is_blank s i cur then skip s (i + 1) cur else i
+let rec line_end s i cur = if at_end s i cur then i else line_end s (i + 1) cur
+
+(* The end of the trimmed text [s.[lo .. hi-1]], which holds no line end. *)
+let rec trimmed_stop s lo hi cur =
+  if hi > lo && is_blank s (hi - 1) cur then trimmed_stop s lo (hi - 1) cur else hi
+
+let rec space_or_end s i cur =
+  if Bytes.unsafe_get s i = ' ' || at_end s i cur then i else space_or_end s (i + 1) cur
+
+let rec has_space s lo hi = lo < hi && (Bytes.unsafe_get s lo = ' ' || has_space s (lo + 1) hi)
+
+(* Whether the field a fast path read ends at [k], as [String.split_on_char
+   ' '] cuts the trimmed line: at a space, unless it is the [last] field,
+   which ends where only blanks are left before the line's end.  If so,
+   [cur.pos] moves past the field. *)
+let[@inline] field_ends s k cur last =
+  if last then begin
+    let k = skip s k cur in
+    at_end s k cur
+    && begin
+         cur.pos <- k;
+         true
+       end
+  end
+  else
+    Bytes.unsafe_get s k = ' '
+    && begin
+         cur.pos <- k + 1;
+         true
+       end
+
+(* The bytes of the field starting at [i], for a fallback conversion,
+   which runs only on a whole line.  A field that is not [last] but meets
+   the line's end is missing its successors. *)
+let field_text s i cur last =
+  let nl = line_end s i cur in
+  if nl = cur.limit then raise_notrace Incomplete;
+  if last then begin
+    let stop = trimmed_stop s i nl cur in
+    if has_space s i stop then raise_notrace Bad_field;
+    cur.pos <- nl;
+    Bytes.sub_string s i (stop - i)
+  end
+  else begin
+    let stop = space_or_end s i cur in
+    if stop = nl then raise_notrace Bad_field;
+    cur.pos <- stop + 1;
+    Bytes.sub_string s i (stop - i)
+  end
+
 (* The value of each lowercase hex digit, 16 for every other byte. *)
 let hex_value =
   String.init 256 (fun i ->
@@ -155,257 +238,263 @@ let[@inline] is_decimal d = d >= 0 && d <= 9
 (* Every token the fast paths decline goes to the stdlib conversion on a
    copy, which accepts, rejects and decodes it as it always has: [nan],
    [infinity], decimals, [+5], [0x10], [1_000], uppercase hex. *)
-let slow_float s lo hi =
-  match float_of_string (Bytes.sub_string s lo (hi - lo)) with
-  | x -> x
+let slow_float s i cur last slot =
+  match float_of_string (field_text s i cur last) with
+  | x -> Float.Array.unsafe_set cur.floats slot x
   | exception Failure _ -> raise_notrace Bad_field
 
-let slow_int s lo hi =
-  match int_of_string (Bytes.sub_string s lo (hi - lo)) with
+let slow_int s i cur last =
+  match int_of_string (field_text s i cur last) with
   | n -> n
   | exception Failure _ -> raise_notrace Bad_field
 
-(* The exponent of a %h token, a sign and 1 to 5 decimal digits filling
-   [s.[i .. hi-1]]; [min_int] when it is not one. *)
-let hex_exponent s i hi =
-  if hi - i < 2 || hi - i > 6 then min_int
-  else begin
-    let e = ref 0 and j = ref (i + 1) in
-    while !j < hi && is_decimal (decimal s !j) do
-      e := (10 * !e) + decimal s !j;
-      incr j
-    done;
-    if !j < hi then min_int
-    else if Bytes.unsafe_get s i = '+' then !e
-    else if Bytes.unsafe_get s i = '-' then - !e
-    else min_int
-  end
-
-(* A float field.  The writer's %h form, [[-]0x<hex>[.<hex>]p±<dec>] with
-   at most 14 lowercase digits, is [ldexp m (e - 4 * frac)] negated for a
-   sign: the two steps of the runtime's own hex conversion, so the bits
-   agree.  Anything else goes to [float_of_string]. *)
-let float_field s lo hi =
-  let neg = lo < hi && Bytes.unsafe_get s lo = '-' in
-  let i = if neg then lo + 1 else lo in
-  if not (i + 2 < hi && Bytes.unsafe_get s i = '0' && Bytes.unsafe_get s (i + 1) = 'x')
-  then slow_float s lo hi
+(* The float field starting at [i], stored in [cur.floats.(slot)].  The
+   writer's %h form, [[-]0x<hex>[.<hex>]p±<dec>] with 1 to 14 lowercase
+   digits and 1 to 5 exponent digits, is [ldexp m (e - 4 * frac)] negated
+   for a sign: the two steps of the runtime's own hex conversion, so the
+   bits agree.  Anything else goes to [float_of_string]. *)
+let float_field s i cur last slot =
+  let neg = Bytes.unsafe_get s i = '-' in
+  let j = if neg then i + 1 else i in
+  if Bytes.unsafe_get s j <> '0' || Bytes.unsafe_get s (j + 1) <> 'x' then
+    slow_float s i cur last slot
   else begin
     (* The mantissa digits, and how many of them precede a point. *)
-    let m = ref 0 and digits = ref 0 and point = ref (-1) and j = ref (i + 2) in
-    while !j < hi && (hex s !j < 16 || (Bytes.unsafe_get s !j = '.' && !point < 0)) do
-      if hex s !j < 16 then begin
-        m := (!m lsl 4) lor hex s !j;
-        incr digits
+    let m = ref 0 and digits = ref 0 and point = ref (-1) and k = ref (j + 2) and more = ref true in
+    while !more do
+      let d = hex s !k in
+      if d < 16 then begin
+        m := (!m lsl 4) lor d;
+        incr digits;
+        incr k
       end
-      else point := !digits;
-      incr j
+      else if Bytes.unsafe_get s !k = '.' && !point < 0 then begin
+        point := !digits;
+        incr k
+      end
+      else more := false
     done;
-    let frac = if !point < 0 then 0 else !digits - !point in
-    let e = if !j < hi && Bytes.unsafe_get s !j = 'p' then hex_exponent s (!j + 1) hi else min_int in
-    if !digits = 0 || !digits > 14 || !m >= 1 lsl 53 || e = min_int then slow_float s lo hi
+    let sign = if Bytes.unsafe_get s !k = 'p' then Bytes.unsafe_get s (!k + 1) else ' ' in
+    if (sign <> '+' && sign <> '-') || !digits = 0 || !digits > 14 || !m >= 1 lsl 53 then
+      slow_float s i cur last slot
     else begin
-      let x = ldexp (float_of_int !m) (e - (4 * frac)) in
-      if neg then -.x else x
+      let e = ref 0 and stop = ref (!k + 2) in
+      while is_decimal (decimal s !stop) do
+        e := (10 * !e) + decimal s !stop;
+        incr stop
+      done;
+      let exp_digits = !stop - !k - 2 in
+      if exp_digits < 1 || exp_digits > 5 || not (field_ends s !stop cur last) then
+        slow_float s i cur last slot
+      else begin
+        let frac = if !point < 0 then 0 else !digits - !point in
+        let e = if sign = '-' then - !e else !e in
+        let x = ldexp (float_of_int !m) (e - (4 * frac)) in
+        Float.Array.unsafe_set cur.floats slot (if neg then -.x else x)
+      end
     end
   end
 
-(* An int field: up to 18 decimal digits after an optional [-], else
-   [int_of_string]. *)
-let int_field s lo hi =
-  let start = if lo < hi && Bytes.unsafe_get s lo = '-' then lo + 1 else lo in
-  if hi - start < 1 || hi - start > 18 then slow_int s lo hi
-  else begin
-    let n = ref 0 and j = ref start in
-    while !j < hi && is_decimal (decimal s !j) do
-      n := (10 * !n) + decimal s !j;
-      incr j
-    done;
-    if !j < hi then slow_int s lo hi else if start > lo then - !n else !n
-  end
+(* The int field starting at [i]: up to 18 decimal digits after an
+   optional [-], else [int_of_string]. *)
+let int_field s i cur last =
+  let neg = Bytes.unsafe_get s i = '-' in
+  let j = if neg then i + 1 else i in
+  let n = ref 0 and k = ref j in
+  while is_decimal (decimal s !k) do
+    n := (10 * !n) + decimal s !k;
+    incr k
+  done;
+  let digits = !k - j in
+  if digits >= 1 && digits <= 18 && field_ends s !k cur last then if neg then - !n else !n
+  else slow_int s i cur last
 
 let rec same s pos lit i =
   i = String.length lit
   || (Bytes.unsafe_get s (pos + i) = String.unsafe_get lit i && same s pos lit (i + 1))
 
-let is s lo hi lit = hi - lo = String.length lit && same s lo lit 0
+(* Whether the field at [i] is [lit] and another field follows it; if so,
+   [cur.pos] moves to that one. *)
+let[@inline] is s i lit cur =
+  same s i lit 0
+  && Bytes.unsafe_get s (i + String.length lit) = ' '
+  && begin
+       cur.pos <- i + String.length lit + 1;
+       true
+     end
 
-(* [bool_of_string]: exactly [true] or [false]. *)
-let bool_field s lo hi =
-  if is s lo hi "true" then true
-  else if is s lo hi "false" then false
+(* [bool_of_string]: exactly [true] or [false]; never the last field. *)
+let bool_field s i cur =
+  if is s i "true" cur then true
+  else if is s i "false" cur then false
   else raise_notrace Bad_field
 
-(* Fields are separated by single spaces, as [String.split_on_char ' ']
-   splits them. *)
-let rec field_end s i hi = if i < hi && Bytes.unsafe_get s i <> ' ' then field_end s (i + 1) hi else i
+(* The line ends at the last byte read: it may go on. *)
+let[@inline] complete cur = if cur.pos = cur.limit then raise_notrace Incomplete
 
-(* The start of the field after the one ending at [e]. *)
-let next e hi = if e < hi then e + 1 else raise_notrace Bad_field
-
-(* The field starting at [i] ends the line. *)
-let last s i hi = if field_end s i hi <> hi then raise_notrace Bad_field
-
-(* The event on the trimmed, non-comment line [s.[lo .. hi-1]]. *)
-let scan_event s lo hi =
-  let time_end = field_end s lo hi in
-  let tag = next time_end hi in
-  let tag_end = field_end s tag hi in
-  let time = float_field s lo time_end in
+(* The event on the line whose first non-blank byte, neither a line end
+   nor a [#], is [s.[i]].  Each field is decoded where it is cut, and
+   the last one finds the line's end, left in [cur.pos]; the event is
+   made only once the line is known to be whole. *)
+let scan_event s i cur =
+  let v = cur.floats in
+  float_field s i cur false 0;
+  let t = cur.pos in
   let kind =
-    if is s tag tag_end "send" then begin
-      let a = next tag_end hi in
-      let a_end = field_end s a hi in
-      let b = next a_end hi in
-      let b_end = field_end s b hi in
-      let c = next b_end hi in
-      let c_end = field_end s c hi in
-      let d = next c_end hi in
-      last s d hi;
-      Event.Segment_sent
-        {
-          seq = int_field s a a_end;
-          retransmission = bool_field s b b_end;
-          cwnd = float_field s c c_end;
-          flight = int_field s d hi;
-        }
+    if is s t "send" cur then begin
+      let seq = int_field s cur.pos cur false in
+      let retransmission = bool_field s cur.pos cur in
+      float_field s cur.pos cur false 1;
+      let flight = int_field s cur.pos cur true in
+      complete cur;
+      Event.Segment_sent { seq; retransmission; cwnd = Float.Array.unsafe_get v 1; flight }
     end
-    else if is s tag tag_end "ack" then begin
-      let a = next tag_end hi in
-      last s a hi;
-      Event.Ack_received { ack = int_field s a hi }
+    else if is s t "ack" cur then begin
+      let ack = int_field s cur.pos cur true in
+      complete cur;
+      Event.Ack_received { ack }
     end
-    else if is s tag tag_end "timeout" then begin
-      let a = next tag_end hi in
-      let a_end = field_end s a hi in
-      let b = next a_end hi in
-      last s b hi;
-      Event.Timer_fired { backoff = int_field s a a_end; rto = float_field s b hi }
+    else if is s t "timeout" cur then begin
+      let backoff = int_field s cur.pos cur false in
+      float_field s cur.pos cur true 1;
+      complete cur;
+      Event.Timer_fired { backoff; rto = Float.Array.unsafe_get v 1 }
     end
-    else if is s tag tag_end "fastrexmit" then begin
-      let a = next tag_end hi in
-      last s a hi;
-      Event.Fast_retransmit_triggered { seq = int_field s a hi }
+    else if is s t "fastrexmit" cur then begin
+      let seq = int_field s cur.pos cur true in
+      complete cur;
+      Event.Fast_retransmit_triggered { seq }
     end
-    else if is s tag tag_end "rtt" then begin
-      let a = next tag_end hi in
-      let a_end = field_end s a hi in
-      let b = next a_end hi in
-      let b_end = field_end s b hi in
-      let c = next b_end hi in
-      last s c hi;
+    else if is s t "rtt" cur then begin
+      float_field s cur.pos cur false 1;
+      float_field s cur.pos cur false 2;
+      float_field s cur.pos cur true 3;
+      complete cur;
       Event.Rtt_sample
         {
-          sample = float_field s a a_end;
-          srtt = float_field s b b_end;
-          rto = float_field s c hi;
+          sample = Float.Array.unsafe_get v 1;
+          srtt = Float.Array.unsafe_get v 2;
+          rto = Float.Array.unsafe_get v 3;
         }
     end
-    else if is s tag tag_end "round" then begin
-      let a = next tag_end hi in
-      let a_end = field_end s a hi in
-      let b = next a_end hi in
-      last s b hi;
-      Event.Round_started { index = int_field s a a_end; window = float_field s b hi }
+    else if is s t "round" cur then begin
+      let index = int_field s cur.pos cur false in
+      float_field s cur.pos cur true 1;
+      complete cur;
+      Event.Round_started { index; window = Float.Array.unsafe_get v 1 }
     end
-    else if is s tag tag_end "close" && tag_end = hi then Event.Connection_closed
+    else if same s t "close" 0 && field_ends s (t + String.length "close") cur true then begin
+      complete cur;
+      Event.Connection_closed
+    end
     else raise_notrace Bad_field
   in
-  { Event.time; kind }
+  { Event.time = Float.Array.unsafe_get v 0; kind }
 
-(* [String.trim]'s blanks. *)
-let is_blank c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
-
-let rec trimmed_start s lo hi =
-  if lo < hi && is_blank (Bytes.unsafe_get s lo) then trimmed_start s (lo + 1) hi else lo
-
-let rec trimmed_stop s lo hi =
-  if hi > lo && is_blank (Bytes.unsafe_get s (hi - 1)) then trimmed_stop s lo (hi - 1) else hi
-
-(* The event on the trimmed line [s.[lo .. hi-1]], which is neither blank
-   nor a comment; a malformed line is quoted whole. *)
-let event_in file line s lo hi =
-  match scan_event s lo hi with
-  | event -> event
-  | exception Bad_field ->
-      raise
-        (Error
-           {
-             file;
-             line;
-             reason = Printf.sprintf "malformed line %S" (Bytes.sub_string s lo (hi - lo));
-           })
-
-let is_event s lo hi = lo < hi && Bytes.unsafe_get s lo <> '#'
+(* A malformed line is quoted whole, trimmed. *)
+let malformed file line s i nl cur : exn =
+  Error
+    {
+      file;
+      line;
+      reason =
+        Printf.sprintf "malformed line %S" (Bytes.sub_string s i (trimmed_stop s i nl cur - i));
+    }
 
 let event_of_line line =
-  let s = Bytes.unsafe_of_string line in
-  let lo = trimmed_start s 0 (String.length line) in
-  let hi = trimmed_stop s lo (String.length line) in
-  if is_event s lo hi then Some (event_in None 0 s lo hi) else None
+  let n = String.length line in
+  let s = Bytes.create (n + 1) in
+  Bytes.blit_string line 0 s 0 n;
+  Bytes.unsafe_set s n '\n';
+  let cur = cursor ~eol:n ~limit:(-1) in
+  let i = skip s 0 cur in
+  if i = n || Bytes.unsafe_get s i = '#' then None
+  else
+    match scan_event s i cur with
+    | event -> Some event
+    | exception Bad_field -> raise (malformed None 0 s i n cur)
 
 (* The last non-NaN time delivered.  A NaN time passes the guard (it is
    not smaller than anything) but does not move it, so it cannot hide a
    later step backwards.  All-float, so updates do not box. *)
 type clock = { mutable last : float }
 
-let deliver file f clock line s lo hi =
-  let lo = trimmed_start s lo hi in
-  let hi = trimmed_stop s lo hi in
-  if is_event s lo hi then begin
-    let event = event_in file line s lo hi in
-    let time = event.Event.time in
-    if time < clock.last then
-      raise
-        (Error
-           {
-             file;
-             line;
-             reason = Printf.sprintf "time went backwards: %g s after %g s" time clock.last;
-           });
-    if not (Float.is_nan time) then clock.last <- time;
-    f event
-  end
+let deliver file f clock line event =
+  let time = event.Event.time in
+  if time < clock.last then
+    raise
+      (Error
+         {
+           file;
+           line;
+           reason = Printf.sprintf "time went backwards: %g s after %g s" time clock.last;
+         });
+  if not (Float.is_nan time) then clock.last <- time;
+  f event
+
+(* Reads the line that starts at [s.[lo]] and returns where the next one
+   starts, or -1 when the line reaches [cur.limit] and may go on.  Blank
+   and [#] lines are counted and skipped. *)
+let next_line file f clock line s lo cur =
+  let i = skip s lo cur in
+  match Bytes.unsafe_get s i with
+  | '\n' | '#' ->
+      let nl = line_end s i cur in
+      if nl = cur.limit then -1
+      else begin
+        incr line;
+        nl + 1
+      end
+  | _ -> (
+      match scan_event s i cur with
+      | event ->
+          incr line;
+          deliver file f clock !line event;
+          cur.pos + 1
+      | exception Incomplete -> -1
+      | exception Bad_field ->
+          let nl = line_end s i cur in
+          if nl = cur.limit then -1
+          else begin
+            incr line;
+            raise (malformed file !line s i nl cur)
+          end)
 
 (* Reads go into one block, under the 256-word minor-heap limit; it
    doubles only to hold a longer line. *)
 let block_bytes = 1024
 
-let rec newline s i stop = if i < stop && Bytes.unsafe_get s i <> '\n' then newline s (i + 1) stop else i
+(* Reads into [s] from [pos] until one byte is left, for the sentinel, or
+   the channel ends; returns the end of the bytes read. *)
+let rec fill ic s pos =
+  let room = Bytes.length s - 1 - pos in
+  if room = 0 then pos
+  else
+    match input ic s pos room with
+    | 0 -> pos
+    | n -> fill ic s (pos + n)
 
 let iter_channel ?file f ic =
   let clock = { last = neg_infinity } in
+  let cur = cursor ~eol:0 ~limit:0 in
   let buf = ref (Bytes.create block_bytes) in
-  (* [start, stop) holds read bytes not yet delivered; [start, scan) holds
-     no newline. *)
-  let start = ref 0 and scan = ref 0 and stop = ref 0 in
-  let line = ref 0 and reading = ref true in
-  while !reading do
-    let s = !buf in
-    let nl = newline s !scan !stop in
-    if nl < !stop then begin
-      incr line;
-      deliver file f clock !line s !start nl;
-      start := nl + 1;
-      scan := nl + 1
-    end
+  (* [start, stop) holds read bytes not yet walked, and [!buf.[stop]] is
+     the sentinel. *)
+  let start = ref 0 and stop = ref 0 and line = ref 0 in
+  while cur.limit >= 0 || !start < !stop do
+    let next = if !start < !stop then next_line file f clock line !buf !start cur else -1 in
+    if next >= 0 then start := next
     else begin
-      let kept = !stop - !start in
-      if kept = Bytes.length s then buf := Bytes.create (2 * kept);
+      (* Keep the unfinished line, fill the rest of the block and walk the
+         line again; a full block holding one line doubles. *)
+      let s = !buf and kept = !stop - !start in
+      if kept + 1 = Bytes.length s then buf := Bytes.create (2 * Bytes.length s);
       Bytes.blit s !start !buf 0 kept;
       let s = !buf in
       start := 0;
-      scan := kept;
-      stop := kept;
-      let n = input ic s kept (Bytes.length s - kept) in
-      if n > 0 then stop := kept + n
-      else begin
-        reading := false;
-        if kept > 0 then begin
-          incr line;
-          deliver file f clock !line s 0 kept
-        end
-      end
+      stop := fill ic s kept;
+      Bytes.unsafe_set s !stop '\n';
+      cur.limit <- (if !stop < Bytes.length s - 1 then -1 else !stop)
     end
   done
 

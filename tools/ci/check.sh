@@ -35,8 +35,12 @@
 #                             pinned digest of the reference output
 #   9. trace format       -- a one-hour trace written by
 #                             `pftk simulate --dump-trace` and the
-#                             stdout of `pftk live --trace` replaying
-#                             it must match their pinned digests
+#                             stdout of `pftk live --trace` (with and
+#                             without --infer) and `pftk analyze
+#                             --trace` reading it must match their
+#                             pinned digests; the same trace with CRLF
+#                             line ends and a leading comment must
+#                             replay to the same `live` stdout
 #  10. serve format        -- a generated 200 000-line query stream
 #                             through `pftk serve --batch`: the input,
 #                             stdout and stderr must match their
@@ -141,28 +145,45 @@ phase "pftk all --quick: --jobs 1 and --jobs 2 byte-identical, pinned digest" \
   all_jobs_identity
 
 # The trace text format end to end: the writer's bytes (85 872 events,
-# 4 455 407 bytes) and what the reader makes of them.  Unit tests compare
-# the writer and reader with their previous Printf and split_on_char
+# 4 455 407 bytes) and what the reader makes of them, through both replay
+# modes of `pftk live` and through `pftk analyze` (whose line starts with
+# the path, dropped before the digest).  The trace rewritten with CRLF
+# line ends under a `#` comment must replay to the same stdout: the
+# reader trims the CR and skips the comment.  Unit tests compare the
+# writer and reader with their previous Printf and split_on_char
 # spellings; these digests catch a change to either that alters a byte
-# of a real trace.  On a mismatch both files are kept for diffing.
+# of a real trace.  On a mismatch the files are kept for diffing.
 trace_md5=b28d0413b9b1e98b1a9030c9f826bc34
 trace_live_md5=50930d8b04748f0e324ee2e6b8b54110
+trace_infer_md5=4321f9cc7ae11be743b3a0b27cad7976
+trace_analyze_md5=41da18672625364a3e155d73f4cf094b
 
 trace_format_digests() {
   _out=$(mktemp -d)
   dune exec --profile release bin/pftk.exe -- simulate \
     --dump-trace "$_out/trace" --duration 3600 --seed 42 --loss 0.02 >/dev/null
   dune exec --profile release bin/pftk.exe -- live --trace "$_out/trace" >"$_out/live"
+  dune exec --profile release bin/pftk.exe -- live --trace "$_out/trace" --infer >"$_out/infer"
+  dune exec --profile release bin/pftk.exe -- analyze --trace "$_out/trace" |
+    sed "s|^$_out/||" >"$_out/analyze"
+  awk 'BEGIN { printf "# the same trace, CRLF\r\n" } { printf "%s\r\n", $0 }' \
+    "$_out/trace" >"$_out/crlf"
+  dune exec --profile release bin/pftk.exe -- live --trace "$_out/crlf" >"$_out/live-crlf"
   _md5=$(md5_of "$_out/trace")
   _live_md5=$(md5_of "$_out/live")
-  if [ "$_md5" != "$trace_md5" ] || [ "$_live_md5" != "$trace_live_md5" ]; then
-    say "trace MD5 $_md5 (expected $trace_md5), live stdout MD5 $_live_md5 (expected $trace_live_md5); kept in $_out"
+  _infer_md5=$(md5_of "$_out/infer")
+  _analyze_md5=$(md5_of "$_out/analyze")
+  _crlf_md5=$(md5_of "$_out/live-crlf")
+  if [ "$_md5" != "$trace_md5" ] || [ "$_live_md5" != "$trace_live_md5" ] ||
+    [ "$_infer_md5" != "$trace_infer_md5" ] || [ "$_analyze_md5" != "$trace_analyze_md5" ] ||
+    [ "$_crlf_md5" != "$trace_live_md5" ]; then
+    say "trace MD5 $_md5 (expected $trace_md5), live stdout MD5 $_live_md5 (expected $trace_live_md5), live --infer $_infer_md5 (expected $trace_infer_md5), analyze $_analyze_md5 (expected $trace_analyze_md5), live on the CRLF copy $_crlf_md5 (expected $trace_live_md5); kept in $_out"
     return 1
   fi
   rm -r "$_out"
 }
 
-phase "trace format: pftk simulate --dump-trace and live --trace, pinned digests" \
+phase "trace format: pftk simulate --dump-trace, live --trace and analyze --trace, pinned digests" \
   trace_format_digests
 
 # The serve text format end to end: what `pftk serve --batch` prints for
