@@ -921,11 +921,13 @@ let meanfield_cmd =
     Arg.(value & opt int 100_000 & info [ "flows" ] ~docv:"N" ~doc)
   in
   let capacity_arg =
-    let doc = "Bottleneck capacity, packets per second." in
+    let doc = "Bottleneck capacity, packets per second; positive and finite." in
     Arg.(value & opt float 10_000. & info [ "capacity" ] ~docv:"PKT/S" ~doc)
   in
   let base_rtt_arg =
-    let doc = "Two-way propagation delay excluding queueing, seconds." in
+    let doc =
+      "Two-way propagation delay excluding queueing, seconds; positive and finite."
+    in
     Arg.(value & opt float 0.1 & info [ "base-rtt" ] ~docv:"SECONDS" ~doc)
   in
   let buffer_arg =
@@ -1076,7 +1078,7 @@ let meanfield_cmd =
              +-%.1f pkt, loop gain %.2f)@."
             eq.Solver.iterations amplitude eq.Solver.loop_gain);
       if not equilibrium_only then begin
-        let d = Dynamics.run (Dynamics.default cfg) in
+        let d = checked (fun () -> Dynamics.run (Dynamics.default cfg)) in
         (match d.Dynamics.verdict with
         | Dynamics.Stable ->
             Format.fprintf ppf "  verdict: stable (queue settles at %.1f pkt)@."

@@ -54,8 +54,12 @@ let validate cfg =
   if cfg.flows < 1 then invalid_arg "Solver.solve: flows must be >= 1";
   if not (cfg.capacity > 0.) then
     invalid_arg "Solver.solve: capacity must be positive";
+  if not (Float.is_finite cfg.capacity) then
+    invalid_arg "Solver.solve: capacity must be finite";
   if not (cfg.base_rtt > 0.) then
     invalid_arg "Solver.solve: base_rtt must be positive";
+  if not (Float.is_finite cfg.base_rtt) then
+    invalid_arg "Solver.solve: base_rtt must be finite";
   if cfg.b < 1 then invalid_arg "Solver.solve: b must be >= 1";
   if not (cfg.t0_factor > 0.) then
     invalid_arg "Solver.solve: t0_factor must be positive";

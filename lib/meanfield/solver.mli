@@ -86,8 +86,8 @@ type equilibrium = {
 
 val solve : config -> equilibrium
 [@@pftk.unit "_ -> _"]
-(** Raises [Invalid_argument] when [flows < 1], [capacity <= 0],
-    [base_rtt <= 0], [b < 1], [t0_factor <= 0], [damping] outside (0, 1],
+(** Raises [Invalid_argument] when [flows < 1], [capacity] or
+    [base_rtt] is not positive and finite, [b < 1], [t0_factor <= 0], [damping] outside (0, 1],
     [max_iterations < 1], [tolerance <= 0], or the law fails
     {!Queue_law.validate}.  Never raises on a non-convergent law — that is
     the {!Oscillating} outcome. *)

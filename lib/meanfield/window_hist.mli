@@ -20,7 +20,8 @@
     papers, and the divergence from eq. (32) at timeout-dominated loss
     rates is measured (and bounded) by selfcheck invariant C12.
 
-    One step costs O(bins), independent of the population size. *)
+    One step costs O(bins), independent of the population size: two
+    sweeps over the bins, reading per-bin tables that {!create} builds. *)
 
 type t
 
@@ -28,7 +29,8 @@ val create : ?bins:int -> wmax:float -> unit -> t
 [@@pftk.unit "_ -> pkt -> _ -> _"]
 (** A histogram of [bins] cells (default 256) spanning windows
     [0 .. wmax].  All mass starts at zero; call {!reset}.  Raises
-    [Invalid_argument] when [bins < 2] or [wmax <= 0]. *)
+    [Invalid_argument] when [bins < 2] or [wmax] is not positive and
+    finite. *)
 
 val reset : t -> mean:float -> spread:float -> unit
 [@@pftk.unit "_ -> pkt -> pkt -> _"]
@@ -48,6 +50,12 @@ val width : t -> float
 [@@pftk.unit "_ -> pkt"]
 (** Bin width, [wmax / bins]. *)
 
+val mass : t -> int -> float
+[@@pftk.unit "_ -> _ -> 1"]
+(** [mass t i] is the probability mass in bin [i], which covers windows
+    [[i·width, (i+1)·width)].  Raises [Invalid_argument] unless
+    [0 <= i < bins t]. *)
+
 val total : t -> float
 [@@pftk.unit "_ -> 1"]
 (** Total mass; 1 after {!reset} and conserved by {!step} (up to float
@@ -55,7 +63,8 @@ val total : t -> float
 
 val mean : t -> float
 [@@pftk.unit "_ -> pkt"]
-(** Mean window E[W] over bin centers. *)
+(** Mean window E[W] over bin centers.  O(1): the sum the last {!step}
+    or {!reset} computed (0 before the first). *)
 
 val second_moment : t -> float
 [@@pftk.unit "_ -> pkt^2"]

@@ -1,9 +1,17 @@
-(* The four xoshiro256** state words live in one 32-byte [Bytes.t], little
-   endian: s0 at offset 0, s1 at 8, s2 at 16, s3 at 24.  ocamlopt reads
-   and writes them with [Bytes.get/set_int64_le] as unboxed machine
-   words, so a draw allocates nothing, where four [mutable int64] record
-   fields box a fresh word on every store. *)
+(* The four xoshiro256** state words live in one 32-byte [Bytes.t]: s0 at
+   offset 0, s1 at 8, s2 at 16, s3 at 24.  ocamlopt reads and writes them
+   with the unchecked native-order primitives below as unboxed machine
+   words, so a draw allocates nothing and checks no bounds, where four
+   [mutable int64] record fields box a fresh word on every store.
+
+   Skipping the checks is safe: [t] is abstract, and only [create] (so
+   [split]) and [copy] make one, always 32 bytes long, so every access
+   lies inside it.  Every access also uses the same byte order, so the
+   words, and the stream, are the same on any platform. *)
 type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let default_seed = 0x9E3779B97F4A7C15L
 
@@ -21,7 +29,7 @@ let create ?(seed = default_seed) () =
   let st = ref seed in
   let t = Bytes.create 32 in
   for word = 0 to 3 do
-    Bytes.set_int64_le t (8 * word) (splitmix64 st)
+    set64 t (8 * word) (splitmix64 st)
   done;
   t
 
@@ -32,15 +40,15 @@ let[@inline] rotl x k =
 
 let[@inline] bits64 t =
   let open Int64 in
-  let s0 = Bytes.get_int64_le t 0 and s1 = Bytes.get_int64_le t 8 in
-  let s2 = Bytes.get_int64_le t 16 and s3 = Bytes.get_int64_le t 24 in
+  let s0 = get64 t 0 and s1 = get64 t 8 in
+  let s2 = get64 t 16 and s3 = get64 t 24 in
   let result = mul (rotl (mul s1 5L) 7) 9L in
   let s2 = logxor s2 s0 in
   let s3 = logxor s3 s1 in
-  Bytes.set_int64_le t 0 (logxor s0 s3);
-  Bytes.set_int64_le t 8 (logxor s1 s2);
-  Bytes.set_int64_le t 16 (logxor s2 (shift_left s1 17));
-  Bytes.set_int64_le t 24 (rotl s3 45);
+  set64 t 0 (logxor s0 s3);
+  set64 t 8 (logxor s1 s2);
+  set64 t 16 (logxor s2 (shift_left s1 17));
+  set64 t 24 (rotl s3 45);
   result
 
 let split t =

@@ -414,10 +414,11 @@ let event_of_line line =
     | event -> Some event
     | exception Bad_field -> raise (malformed None 0 s i n cur)
 
-(* The last non-NaN time delivered.  A NaN time passes the guard (it is
-   not smaller than anything) but does not move it, so it cannot hide a
-   later step backwards.  All-float, so updates do not box. *)
-type clock = { mutable last : float }
+(* The last non-NaN time delivered, or [earliest] before the first: 0
+   or [neg_infinity].  A NaN time passes the guard (it is not smaller
+   than anything) but does not move it, so it cannot hide a later step
+   backwards.  All-float, so updates do not box. *)
+type clock = { mutable last : float; earliest : float }
 
 let deliver file f clock line event =
   let time = event.Event.time in
@@ -427,7 +428,9 @@ let deliver file f clock line event =
          {
            file;
            line;
-           reason = Printf.sprintf "time went backwards: %g s after %g s" time clock.last;
+           reason =
+             (if time < clock.earliest then Printf.sprintf "negative time: %g s" time
+              else Printf.sprintf "time went backwards: %g s after %g s" time clock.last);
          });
   if not (Float.is_nan time) then clock.last <- time;
   f event
@@ -474,8 +477,8 @@ let rec fill ic s pos =
     | 0 -> pos
     | n -> fill ic s (pos + n)
 
-let iter_channel ?file f ic =
-  let clock = { last = neg_infinity } in
+let iter_from ~earliest ?file f ic =
+  let clock = { last = earliest; earliest } in
   let cur = cursor ~eol:0 ~limit:0 in
   let buf = ref (Bytes.create block_bytes) in
   (* [start, stop) holds read bytes not yet walked, and [!buf.[stop]] is
@@ -498,9 +501,13 @@ let iter_channel ?file f ic =
     end
   done
 
+let iter_channel ?file f ic = iter_from ~earliest:neg_infinity ?file f ic
+
+(* A recorder's clock starts at 0, so the guard does too: a negative time
+   is an error on its line, not [Recorder.record]'s [Invalid_argument]. *)
 let read ?file ic =
   let recorder = Recorder.create () in
-  iter_channel ?file
+  iter_from ~earliest:0. ?file
     (fun { Event.time; kind } -> Recorder.record recorder ~time kind)
     ic;
   recorder

@@ -32,11 +32,12 @@ val event_of_line : string -> Event.t option
     content in [reason]. *)
 
 val read : ?file:string -> in_channel -> Recorder.t
-(** Reads to EOF.  Raises {!Error} on malformed input or non-monotonic
-    timestamps, locating the offending line; [file] seeds the error's
-    location.  A NaN time is accepted, as {!Recorder.record} accepts it,
-    but it does not reset the monotonic check: the next time is compared
-    with the last time that was not NaN.
+(** Reads to EOF.  Raises {!Error} on malformed input, a negative time
+    (a recorder's clock starts at 0) or non-monotonic timestamps,
+    locating the offending line; [file] seeds the error's location.  A
+    NaN time is accepted, as {!Recorder.record} accepts it, but it does
+    not reset the monotonic check: the next time is compared with the
+    last time that was not NaN, or with 0.
 
     The channel is read ahead in blocks, so its position after a return
     or an error is unspecified. *)
@@ -45,7 +46,8 @@ val iter_channel : ?file:string -> (Event.t -> unit) -> in_channel -> unit
 (** Streaming variant of {!read}: feeds each parsed event to the callback
     without building a recorder, so saved traces of any length can be
     replayed through the online estimators in O(1) memory.  Same failure
-    contract, NaN rule and read-ahead as {!read}. *)
+    contract, NaN rule and read-ahead as {!read}, except that the first
+    time may be negative: the monotonic check starts at [neg_infinity]. *)
 
 val iter_file : string -> (Event.t -> unit) -> unit
 (** {!iter_channel} over a file path; errors carry the path. *)

@@ -219,6 +219,417 @@ let test_histogram_mass_conserved () =
   check_invalid "bins=1" (fun () -> Window_hist.create ~bins:1 ~wmax:40. ());
   check_invalid "wmax=0" (fun () -> Window_hist.create ~wmax:0. ())
 
+(* The previous histogram, verbatim: a full pass per transport term, the
+   deposit target re-derived per bin, and an O(bins) [mean]. *)
+module Oracle = struct
+  type t = {
+    n : int;
+    h : float;  (* bin width, pkt *)
+    mass : float array;  (* probability mass per bin *)
+    scratch : float array;  (* halving-flux deposits, zeroed per step *)
+  }
+
+  let create ?(bins = 256) ~wmax () =
+    if bins < 2 then invalid_arg "Window_hist.create: bins < 2";
+    if not (wmax > 0.) then invalid_arg "Window_hist.create: wmax must be positive";
+    {
+      n = bins;
+      h = wmax /. float_of_int bins;
+      mass = Array.make bins 0.;
+      scratch = Array.make bins 0.;
+    }
+
+  let bins t = t.n
+  let width t = t.h
+  let wmax t = t.h *. float_of_int t.n
+  let center t i = (float_of_int i +. 0.5) *. t.h
+
+  let reset t ~mean ~spread =
+    Array.fill t.mass 0 t.n 0.;
+    let lo = Float.max 0. (mean -. spread) in
+    let hi = Float.min (wmax t) (mean +. spread) in
+    if hi > lo then begin
+      (* Mass proportional to each bin's overlap with [lo, hi]. *)
+      for i = 0 to t.n - 1 do
+        let bl = float_of_int i *. t.h and bh = float_of_int (i + 1) *. t.h in
+        let overlap = Float.min hi bh -. Float.max lo bl in
+        if overlap > 0. then t.mass.(i) <- overlap /. (hi -. lo)
+      done;
+      (* Renormalize the clipping rounding away. *)
+      let s = Array.fold_left ( +. ) 0. t.mass in
+      if s > 0. then
+        for i = 0 to t.n - 1 do
+          t.mass.(i) <- t.mass.(i) /. s
+        done
+    end
+    else begin
+      let i = int_of_float (mean /. t.h) in
+      let i = if i < 0 then 0 else if i > t.n - 1 then t.n - 1 else i in
+      t.mass.(i) <- 1.
+    end
+
+  let total t = Array.fold_left ( +. ) 0. t.mass
+
+  let mean t =
+    let acc = ref 0. in
+    for i = 0 to t.n - 1 do
+      acc := !acc +. (t.mass.(i) *. center t i)
+    done;
+    !acc
+
+  let second_moment t =
+    let acc = ref 0. in
+    for i = 0 to t.n - 1 do
+      let w = center t i in
+      acc := !acc +. (t.mass.(i) *. w *. w)
+    done;
+    !acc
+
+  let step t ~dt ~drift ~p ~rtt =
+    let n = t.n and m = t.mass and s = t.scratch in
+    (* Halving flux: bin i loses mass at rate p·w_i/rtt toward w_i/2. *)
+    if p > 0. then begin
+      Array.fill s 0 n 0.;
+      for i = 0 to n - 1 do
+        let mi = m.(i) in
+        if mi > 0. then begin
+          let w = center t i in
+          let frac = Float.min 1. (dt *. p *. w /. rtt) in
+          if frac > 0. then begin
+            let out = mi *. frac in
+            m.(i) <- mi -. out;
+            (* Deposit at w/2, split linearly over the bracketing bins. *)
+            let x = Float.max 0. ((w /. 2. /. t.h) -. 0.5) in
+            let lo = int_of_float x in
+            if lo >= n - 1 then s.(n - 1) <- s.(n - 1) +. out
+            else begin
+              let f = x -. float_of_int lo in
+              s.(lo) <- s.(lo) +. (out *. (1. -. f));
+              s.(lo + 1) <- s.(lo + 1) +. (out *. f)
+            end
+          end
+        end
+      done;
+      for i = 0 to n - 1 do
+        m.(i) <- m.(i) +. s.(i)
+      done
+    end;
+    (* Upwind drift: mass moves right one neighbor at a time; the top bin is
+       absorbing (the W_m clamp).  Walking from the top keeps each packet of
+       mass from moving twice in one step. *)
+    let frac = Float.min 1. (dt *. drift /. t.h) in
+    if frac > 0. then
+      for i = n - 2 downto 0 do
+        let out = m.(i) *. frac in
+        m.(i) <- m.(i) -. out;
+        m.(i + 1) <- m.(i + 1) +. out
+      done
+
+  let max_dt t ~drift ~p ~rtt =
+    let cfl =
+      if drift > 0. then 0.9 *. t.h /. drift else Float.infinity
+    in
+    let halving =
+      if p > 0. then 0.9 *. rtt /. (p *. wmax t) else Float.infinity
+    in
+    Float.min cfl halving
+end
+
+(* A histogram against the previous one, bit for bit: its shape, every
+   bin, the mean, the second moment and the total.  Step 0 is the reset. *)
+let check_same_hist ~config ~step a b =
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let fail field x y =
+    Alcotest.failf "config %d, step %d: %s is %h, previously %h" config step field y x
+  in
+  if Oracle.bins a <> Window_hist.bins b then
+    Alcotest.failf "config %d: bin counts differ" config;
+  if not (same (Oracle.width a) (Window_hist.width b)) then
+    fail "width" (Oracle.width a) (Window_hist.width b);
+  for i = 0 to Window_hist.bins b - 1 do
+    let x = a.Oracle.mass.(i) and y = Window_hist.mass b i in
+    if not (same x y) then fail (Printf.sprintf "bin %d" i) x y
+  done;
+  List.iter
+    (fun (field, x, y) -> if not (same x y) then fail field x y)
+    [
+      ("mean", Oracle.mean a, Window_hist.mean b);
+      ("second moment", Oracle.second_moment a, Window_hist.second_moment b);
+      ("total", Oracle.total a, Window_hist.total b);
+    ]
+
+(* The two-sweep histogram against the previous one: random widths, bin
+   counts and reset intervals (collapsed to a point mass, clipped at 0 or
+   at wmax, or inside), drift 0 or positive, p 0, subnormal or 1e-6..1,
+   and steps up to ten times [max_dt], where the transported fractions
+   clamp at 1.  A quarter of the steps run at p = 0, without a halving. *)
+let test_window_hist_matches_oracle () =
+  let module Rng = Pftk_stats.Rng in
+  let rng = Rng.create ~seed:20L () in
+  let log_uniform lo hi = lo *. ((hi /. lo) ** Rng.float rng) in
+  let bin_counts = [| 2; 3; 5; 17; 64; 128; 256; 1024 |] in
+  let clamped = ref 0 and idle = ref 0 in
+  for config = 0 to 511 do
+    let bins = bin_counts.(config mod Array.length bin_counts) in
+    let wmax = log_uniform 1. 1e4 in
+    let drift = if Rng.int rng 4 = 0 then 0. else log_uniform 1e-2 1e3 in
+    let p =
+      match Rng.int rng 4 with
+      | 0 -> 0.
+      | 1 -> Int64.float_of_bits (Int64.of_int (1 + Rng.int rng 1_000_000))
+      | _ -> log_uniform 1e-6 1.
+    in
+    let rtt = log_uniform 1e-3 2. in
+    let mean, spread =
+      match Rng.int rng 4 with
+      | 0 -> (Rng.float_range rng (-0.2 *. wmax) (1.2 *. wmax), 0.)
+      | 1 -> (Rng.float_range rng 0. wmax, -.Rng.float rng *. wmax)
+      | 2 -> (Rng.float_range rng (-0.1 *. wmax) (1.1 *. wmax), wmax *. Rng.float rng)
+      | _ ->
+          let mean = Rng.float_range rng (0.3 *. wmax) (0.7 *. wmax) in
+          (mean, Rng.float rng *. 0.2 *. wmax)
+    in
+    let a = Oracle.create ~bins ~wmax () and b = Window_hist.create ~bins ~wmax () in
+    Oracle.reset a ~mean ~spread;
+    Window_hist.reset b ~mean ~spread;
+    check_same_hist ~config ~step:0 a b;
+    let max_dt = Oracle.max_dt a ~drift ~p ~rtt in
+    let dt_scale = if Float.is_finite max_dt then max_dt else log_uniform 1e-3 1. in
+    for step = 1 to 200 do
+      let dt = dt_scale *. 10. *. Rng.float rng in
+      let p = if Rng.int rng 4 = 0 then 0. else p in
+      if dt > max_dt then incr clamped;
+      if p = 0. then incr idle;
+      Oracle.step a ~dt ~drift ~p ~rtt;
+      Window_hist.step b ~dt ~drift ~p ~rtt;
+      check_same_hist ~config ~step a b
+    done
+  done;
+  Alcotest.(check bool) "steps beyond max_dt" true (!clamped > 10_000);
+  Alcotest.(check bool) "steps without a halving" true (!idle > 10_000)
+
+(* A step reads and writes the histogram in place. *)
+let test_window_hist_step_allocates_nothing () =
+  let h = Window_hist.create ~bins:256 ~wmax:64. () in
+  Window_hist.reset h ~mean:20. ~spread:10.;
+  let dt = 0.002 and drift = 5. and p = 0.02 and rtt = 0.1 in
+  Window_hist.step h ~dt ~drift ~p ~rtt;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Window_hist.step h ~dt ~drift ~p ~rtt
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words for 1000 steps" 0. words
+
+(* --- dynamics ---------------------------------------------------------------- *)
+
+(* The previous [Dynamics.run], verbatim over the previous histogram. *)
+let oracle_run (cfg : Dynamics.config) : Dynamics.result =
+  let open Dynamics in
+  if not (cfg.horizon > 0.) then
+    invalid_arg "Dynamics.run: horizon must be positive";
+  if cfg.osc_threshold < 0. then
+    invalid_arg "Dynamics.run: negative osc_threshold";
+  let sc = cfg.solver in
+  let eq = Solver.solve sc in
+  let n = float_of_int sc.Solver.flows in
+  let capacity = sc.Solver.capacity in
+  let base_rtt = sc.Solver.base_rtt in
+  let b_rounds = float_of_int sc.Solver.b in
+  let law = sc.Solver.law in
+  let buffer = float_of_int (Queue_law.capacity law) in
+  (* Window span: the receiver cap when one is set, else comfortable
+     headroom above the equilibrium window. *)
+  let wmax =
+    if sc.Solver.wm > 0 then float_of_int sc.Solver.wm
+    else Float.max 8. (3. *. eq.Solver.per_flow_rate *. eq.Solver.rtt)
+  in
+  let hist = Oracle.create ~bins:cfg.bins ~wmax () in
+  let w_eq =
+    Float.max 1. (Float.min (0.95 *. wmax) (eq.Solver.per_flow_rate *. eq.Solver.rtt))
+  in
+  Oracle.reset hist ~mean:w_eq ~spread:(0.5 *. w_eq);
+  let dt =
+    if cfg.dt > 0. then cfg.dt
+    else begin
+      (* A fraction of the feedback delay, and under the drift CFL bound
+         at the fastest (empty-queue) drift. *)
+      let cfl = 0.9 *. Oracle.width hist *. b_rounds *. base_rtt in
+      Float.min (base_rtt /. 16.) cfl
+    end
+  in
+  let steps_total =
+    Int.max 2 (int_of_float (Float.ceil (cfg.horizon /. dt)))
+  in
+  let settle = steps_total / 2 in
+  let samples = Array.make (steps_total - settle) 0. in
+  (* Senders react to drops one propagation round late. *)
+  let delay_len = Int.max 1 (int_of_float ((base_rtt /. dt) +. 0.5)) in
+  let delayed = Array.make delay_len eq.Solver.p in
+  let delay_at = ref 0 in
+  let q = ref eq.Solver.queue in
+  let qbar = ref eq.Solver.queue in
+  let sum_w = ref 0. in
+  let sum_goodput = ref 0. in
+  let recorded = ref 0 in
+  for step = 0 to steps_total - 1 do
+    let rtt = base_rtt +. (!q /. capacity) in
+    let w_mean = Oracle.mean hist in
+    let arrival = n *. w_mean /. rtt in
+    let p_now =
+      match law with
+      | Queue_law.Constant p0 -> p0
+      | Queue_law.Red _ -> Queue_law.drop_prob law ~avg_queue:!qbar
+      | Queue_law.Drop_tail _ ->
+          (* Fluid drop-tail: a full buffer sheds exactly the excess. *)
+          if !q >= buffer && arrival > capacity then 1. -. (capacity /. arrival)
+          else 0.
+    in
+    let p_seen = delayed.(!delay_at) in
+    delayed.(!delay_at) <- p_now;
+    delay_at := (!delay_at + 1) mod delay_len;
+    Oracle.step hist ~dt ~drift:(1. /. (b_rounds *. rtt)) ~p:p_seen ~rtt;
+    (match law with
+    | Queue_law.Constant _ -> ()
+    | Queue_law.Drop_tail _ | Queue_law.Red _ ->
+        let dq = dt *. ((arrival *. (1. -. p_now)) -. capacity) in
+        q := Float.max 0. (Float.min buffer (!q +. dq));
+        (match law with
+        | Queue_law.Red red ->
+            let gain =
+              Float.min 1. (red.Queue_law.weight *. arrival *. dt)
+            in
+            qbar := !qbar +. (gain *. (!q -. !qbar))
+        | Queue_law.Drop_tail _ | Queue_law.Constant _ -> qbar := !q));
+    if step >= settle then begin
+      (* The oscillation signal: the queue, except in the open-loop
+         constant law where only the window distribution can move. *)
+      samples.(!recorded) <-
+        (match law with Queue_law.Constant _ -> w_mean | _ -> !q);
+      sum_w := !sum_w +. w_mean;
+      sum_goodput := !sum_goodput +. (w_mean /. rtt *. (1. -. p_now));
+      incr recorded
+    end
+  done;
+  let count = Float.max 1. (float_of_int !recorded) in
+  let sig_min = ref Float.infinity in
+  let sig_max = ref Float.neg_infinity in
+  let sig_sum = ref 0. in
+  for i = 0 to !recorded - 1 do
+    let s = samples.(i) in
+    if s < !sig_min then sig_min := s;
+    if s > !sig_max then sig_max := s;
+    sig_sum := !sig_sum +. s
+  done;
+  let sig_mean = !sig_sum /. count in
+  let amplitude = Float.max 0. ((!sig_max -. !sig_min) /. 2.) in
+  let crossings = ref 0 in
+  for i = 1 to !recorded - 1 do
+    let a = samples.(i - 1) -. sig_mean and b = samples.(i) -. sig_mean in
+    if (a < 0. && b >= 0.) || (a >= 0. && b < 0.) then incr crossings
+  done;
+  let verdict =
+    if amplitude > Float.max cfg.osc_threshold (0.02 *. Float.max 1. sig_mean)
+    then begin
+      let period =
+        if !crossings >= 3 then
+          2. *. float_of_int !recorded *. dt /. float_of_int !crossings
+        else 0.
+      in
+      Oscillating { amplitude; period }
+    end
+    else Stable
+  in
+  let queue_stats =
+    match law with
+    | Queue_law.Constant _ -> (0., 0., 0.)
+    | _ -> (sig_mean, !sig_min, !sig_max)
+  in
+  let mean_queue, queue_min, queue_max = queue_stats in
+  {
+    verdict;
+    equilibrium = eq;
+    mean_queue;
+    queue_min;
+    queue_max;
+    mean_window = !sum_w /. count;
+    mean_goodput = !sum_goodput /. count;
+    steps = steps_total;
+  }
+
+(* [Dynamics.run] against its previous body over the previous histogram:
+   48 random RED, drop-tail and constant configurations, bins 2 to 1024,
+   with and without a receiver window, the step chosen by [run] or given,
+   and horizons of 64 to 127 base RTTs, at least 1 024 steps.  Every
+   result field must keep its bits. *)
+let test_dynamics_matches_oracle () =
+  let module Rng = Pftk_stats.Rng in
+  let rng = Rng.create ~seed:21L () in
+  let log_uniform lo hi = lo *. ((hi /. lo) ** Rng.float rng) in
+  let bin_counts = [| 2; 1024; 3; 17; 64; 128; 256; 5 |] in
+  let bits x = Int64.bits_of_float x in
+  let fields (r : Dynamics.result) =
+    let e = r.Dynamics.equilibrium in
+    let verdict =
+      match r.Dynamics.verdict with
+      | Dynamics.Stable -> [ 0L ]
+      | Dynamics.Oscillating { Dynamics.amplitude; period } -> [ 1L; bits amplitude; bits period ]
+    in
+    let outcome =
+      match e.Solver.outcome with
+      | Solver.Converged -> [ 0L ]
+      | Solver.Oscillating a -> [ 1L; bits a ]
+    in
+    verdict @ outcome
+    @ List.map bits
+        [
+          r.Dynamics.mean_queue; r.Dynamics.queue_min; r.Dynamics.queue_max;
+          r.Dynamics.mean_window; r.Dynamics.mean_goodput; e.Solver.p; e.Solver.queue;
+          e.Solver.rtt; e.Solver.per_flow_rate; e.Solver.per_flow_goodput;
+          e.Solver.utilization; e.Solver.residual; e.Solver.loop_gain;
+        ]
+    @ List.map Int64.of_int
+        [
+          r.Dynamics.steps; e.Solver.iterations; Bool.to_int e.Solver.window_limited;
+        ]
+  in
+  let oscillating = ref 0 in
+  for config = 0 to 47 do
+    let capacity = log_uniform 100. 1e5 in
+    let base_rtt = log_uniform 0.01 0.3 in
+    let flows = int_of_float (log_uniform 1. 1e5) in
+    let buffer = Int.max 8 (int_of_float (capacity *. base_rtt *. log_uniform 0.25 2.)) in
+    let law =
+      match config mod 3 with
+      | 0 ->
+          let bf = float_of_int buffer in
+          Queue_law.red ~weight:(log_uniform 1e-4 0.1)
+            ~max_probability:(log_uniform 0.02 0.5) ~capacity:buffer
+            ~min_threshold:(bf /. 6.) ~max_threshold:(bf /. 2.) ()
+      | 1 -> Queue_law.drop_tail ~capacity:buffer
+      | _ -> Queue_law.constant ~p:(log_uniform 1e-4 0.2)
+    in
+    let wm = if config / 3 mod 2 = 0 then 0 else 4 + Rng.int rng 200 in
+    let solver = { (Solver.default ~flows ~capacity ~base_rtt ~law) with Solver.wm } in
+    let cfg =
+      {
+        (Dynamics.default solver) with
+        Dynamics.bins = bin_counts.(config mod Array.length bin_counts);
+        horizon = base_rtt *. float_of_int (64 + Rng.int rng 64);
+        dt = (if config / 6 mod 2 = 0 then 0. else base_rtt /. float_of_int (16 + Rng.int rng 16));
+      }
+    in
+    let expected = oracle_run cfg and actual = Dynamics.run cfg in
+    Alcotest.(check bool) (Printf.sprintf "config %d: at least 1 024 steps" config) true
+      (actual.Dynamics.steps >= 1024);
+    (match actual.Dynamics.verdict with
+    | Dynamics.Oscillating _ -> incr oscillating
+    | Dynamics.Stable -> ());
+    if not (List.equal Int64.equal (fields expected) (fields actual)) then
+      Alcotest.failf "config %d: the result differs from the previous run" config
+  done;
+  Alcotest.(check bool) "both verdicts seen" true (!oscillating > 0 && !oscillating < 48)
+
 (* --- pinned RED stability cells ------------------------------------------- *)
 
 (* Slow EWMA averaging on a fast link: the mean-field dynamics must
@@ -351,7 +762,13 @@ let () =
           case "required buffer round-trip" test_required_buffer_roundtrip;
           case "validation" test_drop_tail_validation;
         ] );
-      ("histogram", [ case "mass conserved" test_histogram_mass_conserved ]);
+      ( "histogram",
+        [
+          case "mass conserved" test_histogram_mass_conserved;
+          case "window_hist matches the previous histogram" test_window_hist_matches_oracle;
+          case "Window_hist.step allocates nothing" test_window_hist_step_allocates_nothing;
+        ] );
+      ("dynamics", [ case "dynamics matches the previous run" test_dynamics_matches_oracle ]);
       ( "stability",
         [
           case "pinned oscillating cell" test_pinned_oscillating_cell;

@@ -254,19 +254,40 @@ let test_cli_unwritable_trace () =
   fails "analyze --trace missing.trace" "missing.trace" "No such file or directory";
   fails "live --trace missing.trace" "missing.trace" "No such file or directory"
 
+(* A trace whose first time is negative: the recorder [analyze] loads it
+   into starts its clock at 0, so the reader refuses the line (exit 1),
+   where it once escaped as [Invalid_argument] (exit 125).  [live] streams
+   without a recorder and takes any first time. *)
+let test_cli_negative_trace_time () =
+  let path = "cli_negative.trace" in
+  let oc = open_out path in
+  output_string oc "-0x1p+0 ack 1\n";
+  close_out oc;
+  let run args = Sys.command (Printf.sprintf "../bin/pftk.exe %s 1>/dev/null 2>cli_stderr.txt" args) in
+  Alcotest.(check int) "analyze: exit 1" 1 (run ("analyze --trace " ^ path));
+  Alcotest.(check string) "analyze: message"
+    "pftk: cannot use trace file cli_negative.trace: line 1: negative time: -1 s\n"
+    (read_file "cli_stderr.txt");
+  Alcotest.(check int) "live: exit 0" 0 (run ("live --trace " ^ path));
+  Sys.remove path
+
 (* Path parameters the model rejects are bad arguments: a one-line
-   message and exit 2, never an uncaught exception (exit 125). *)
+   message and exit 2, never an uncaught exception (exit 125), and
+   nothing on stdout, except the table header a run printed before it
+   met the bad value. *)
 let test_cli_bad_path_parameters () =
-  let rejects ~suffix (args, reason) =
+  let prints ~stdout ~suffix (args, reason) =
     let code =
       Sys.command
-        (Printf.sprintf "../bin/pftk.exe %s %s </dev/null 1>/dev/null 2>cli_stderr.txt" args
-           suffix)
+        (Printf.sprintf "../bin/pftk.exe %s %s </dev/null 1>cli_stdout.txt 2>cli_stderr.txt"
+           args suffix)
     in
     Alcotest.(check int) (args ^ ": exit 2") 2 code;
     Alcotest.(check string) (args ^ ": message") ("pftk: " ^ reason ^ "\n")
-      (read_file "cli_stderr.txt")
+      (read_file "cli_stderr.txt");
+    Alcotest.(check string) (args ^ ": stdout") stdout (read_file "cli_stdout.txt")
   in
+  let rejects = prints ~stdout:"" in
   List.iter (rejects ~suffix:"--duration 1")
     [
       ("live --t0 0", "Params: t0 must be positive");
@@ -289,7 +310,6 @@ let test_cli_bad_path_parameters () =
       ("tfrc --rtt=-1", "Params: rtt must be positive");
       ("tfrc --rtt nan", "Params: rtt must be positive");
       ("tfrc --rtt inf", "--rtt must be finite");
-      ("tfrc --rtt 1e12", "epoch 1 would send 1e+12 packets, over the limit of 10000000");
       ("serve --chunk 0", "Batch.Stream.run: chunk must be >= 1");
       ("serve -b 0", "Batch.Kernel.make: b must be >= 1");
       ("serve --model tfrc --t0-factor nan", "Batch.Kernel.make: t0_factor must be positive");
@@ -307,7 +327,9 @@ let test_cli_bad_path_parameters () =
       ("meanfield --flows 0", "Solver.solve: flows must be >= 1");
       ("meanfield --capacity=-5", "Solver.solve: capacity must be positive");
       ("meanfield --capacity nan", "Solver.solve: capacity must be positive");
+      ("meanfield --capacity inf", "Solver.solve: capacity must be finite");
       ("meanfield --base-rtt=0", "Solver.solve: base_rtt must be positive");
+      ("meanfield --base-rtt inf", "Solver.solve: base_rtt must be finite");
       ("meanfield --damping=nan", "Solver.solve: damping outside (0, 1]");
       ("meanfield --damping 5", "Solver.solve: damping outside (0, 1]");
       ("meanfield --red-weight=nan", "Queue_law.red: weight outside (0, 1]");
@@ -317,7 +339,10 @@ let test_cli_bad_path_parameters () =
       ("meanfield -b 0", "Solver.solve: b must be >= 1");
       ("meanfield --max-solver-seconds nan", "--max-solver-seconds must be >= 0");
       ("meanfield --max-solver-seconds=-1", "--max-solver-seconds must be >= 0");
-    ]
+    ];
+  prints ~suffix:""
+    ~stdout:"TFRC controller under p=0.01, RTT=1e+12s:\n   epoch   rate pkt/s       est. p\n"
+    ("tfrc --rtt 1e12", "epoch 1 would send 1e+12 packets, over the limit of 10000000")
 
 let test_cli_selfcheck_smoke () =
   let code =
@@ -367,6 +392,7 @@ let () =
         [
           case "corrupt trace" test_cli_corrupt_trace;
           case "unwritable trace" test_cli_unwritable_trace;
+          case "negative trace time" test_cli_negative_trace_time;
           case "bad path parameters" test_cli_bad_path_parameters;
           case "selfcheck smoke" test_cli_selfcheck_smoke;
         ] );

@@ -199,6 +199,81 @@ let test_rng_bernoulli_allocates_nothing () =
   Alcotest.(check bool) "some hits" true (!hits > 0);
   Alcotest.(check (float 0.)) "minor words for 1e5 draws" 0. words
 
+(* The previous generator, verbatim: the state words through the checked
+   little-endian [Bytes] accessors. *)
+module Oracle_rng = struct
+  type t = Bytes.t
+
+  let default_seed = 0x9E3779B97F4A7C15L
+
+  (* SplitMix64 step: used only to expand a 64-bit seed into the four words of
+     xoshiro state, as recommended by the xoshiro authors. *)
+  let splitmix64 state =
+    let open Int64 in
+    state := add !state 0x9E3779B97F4A7C15L;
+    let z = !state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let create ?(seed = default_seed) () =
+    let st = ref seed in
+    let t = Bytes.create 32 in
+    for word = 0 to 3 do
+      Bytes.set_int64_le t (8 * word) (splitmix64 st)
+    done;
+    t
+
+  let copy = Bytes.copy
+
+  let[@inline] rotl x k =
+    Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+  let[@inline] bits64 t =
+    let open Int64 in
+    let s0 = Bytes.get_int64_le t 0 and s1 = Bytes.get_int64_le t 8 in
+    let s2 = Bytes.get_int64_le t 16 and s3 = Bytes.get_int64_le t 24 in
+    let result = mul (rotl (mul s1 5L) 7) 9L in
+    let s2 = logxor s2 s0 in
+    let s3 = logxor s3 s1 in
+    Bytes.set_int64_le t 0 (logxor s0 s3);
+    Bytes.set_int64_le t 8 (logxor s1 s2);
+    Bytes.set_int64_le t 16 (logxor s2 (shift_left s1 17));
+    Bytes.set_int64_le t 24 (rotl s3 45);
+    result
+
+  let split t =
+    let seed = bits64 t in
+    create ~seed ()
+end
+
+(* The unchecked state access against the previous generator: 2^14 draws
+   from each of 64 seeds (the default, 0, -1, the extremes and 59 drawn),
+   then as many again from a copy of each and from a split of each. *)
+let test_rng_matches_oracle () =
+  let seeds =
+    let draw = Oracle_rng.create ~seed:2026L () in
+    [ Oracle_rng.default_seed; 0L; -1L; Int64.min_int; Int64.max_int ]
+    @ List.init 59 (fun _ -> Oracle_rng.bits64 draw)
+  in
+  let draws = 1 lsl 14 in
+  let check what seed (expected : Oracle_rng.t) actual =
+    for i = 1 to draws do
+      let e = Oracle_rng.bits64 expected and a = Rng.bits64 actual in
+      if not (Int64.equal e a) then
+        Alcotest.failf "seed %Ld, %s, draw %d: %Lx, previously %Lx" seed what i a e
+    done
+  in
+  List.iter
+    (fun seed ->
+      let expected = Oracle_rng.create ~seed () and actual = Rng.create ~seed () in
+      check "fresh" seed expected actual;
+      check "copy" seed (Oracle_rng.copy expected) (Rng.copy actual);
+      check "split" seed (Oracle_rng.split expected) (Rng.split actual);
+      check "parent after split" seed expected actual)
+    seeds;
+  Alcotest.(check int) "64 seeds" 64 (List.length seeds)
+
 (* --- Descriptive ----------------------------------------------------------- *)
 
 let test_mean () = check_float "mean" 2.5 (Descriptive.mean [| 1.; 2.; 3.; 4. |])
@@ -502,6 +577,7 @@ let () =
           case "copy" test_rng_copy;
           case "pinned outputs" test_rng_pinned_outputs;
           case "bernoulli allocates nothing" test_rng_bernoulli_allocates_nothing;
+          case "xoshiro matches the previous generator" test_rng_matches_oracle;
         ] );
       ( "descriptive",
         [

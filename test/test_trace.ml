@@ -1031,6 +1031,11 @@ let test_serialize_file_edges () =
       ( "an error on an unterminated last line",
         "0x1p+0 ack 1\n0x1p-1 ack 2",
         "FILE:2: time went backwards: 0.5 s after 1 s" );
+      ("a negative first time", "# header\n-0x1p+0 ack 1\n", "FILE:2: negative time: -1 s");
+      ( "a negative time after NaN",
+        "nan ack 1\n-0x1p-1 ack 2\n0x1p+0 ack 3\n",
+        "FILE:2: negative time: -0.5 s" );
+      ("a negative zero", "-0x0p+0 ack 1\n0x0p+0 ack 2\n", "2 events");
     ]
   in
   List.iter
@@ -1048,9 +1053,12 @@ let test_serialize_nan_time_keeps_guard () =
       Alcotest.(check string) "NaN-timed lines still load" "3 events" (load_outcome path))
 
 (* The previous file reader: [input_line], then [Oracle.event_of_line],
-   then the monotonic guard with its NaN rule; every line counts. *)
-let oracle_iter_channel ?file f ic =
-  let line = ref 0 and last = ref neg_infinity in
+   then the monotonic guard with its NaN rule; every line counts.  Its
+   guard starts at [start]: [neg_infinity] for [iter_channel], 0 for
+   [read], which starts where a recorder's clock does and names a time
+   below it. *)
+let oracle_iter_channel ~start ?file f ic =
+  let line = ref 0 and last = ref start in
   let fail reason = raise (Serialize.Error { file; line = !line; reason }) in
   try
     while true do
@@ -1061,7 +1069,9 @@ let oracle_iter_channel ?file f ic =
       | Some e ->
           let time = e.Event.time in
           if time < !last then
-            fail (Printf.sprintf "time went backwards: %g s after %g s" time !last);
+            fail
+              (if time < start then Printf.sprintf "negative time: %g s" time
+               else Printf.sprintf "time went backwards: %g s after %g s" time !last);
           if not (Float.is_nan time) then last := time;
           f e
       | exception Serialize.Error { reason; _ } -> fail reason
@@ -1085,15 +1095,6 @@ let on_channel (iter : ?file:string -> (Event.t -> unit) -> in_channel -> unit) 
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> iter ~file:path f ic)
 
 let loaded path f = Recorder.iter f (Serialize.load path)
-
-(* [Recorder.record]'s own guard: a clock that starts at 0 and takes every
-   time, NaN included. *)
-let recorder_accepts events =
-  let rec go clock = function
-    | [] -> true
-    | e :: rest -> (not (e.Event.time < clock)) && go e.Event.time rest
-  in
-  go 0. events
 
 (* Whole files through the block reader, against the previous reader.
    They are made of the mutation corpus's accepted lines in time order,
@@ -1122,7 +1123,7 @@ let test_serialize_files_match_oracle () =
   let rng = Rng.create ~seed:19L () in
   let pick a = a.(Rng.int rng (Array.length a)) in
   let starts = Array.make 1024 false in
-  let oks = ref 0 and malformed = ref 0 and backwards = ref 0 and loads = ref 0 in
+  let oks = ref 0 and malformed = ref 0 and backwards = ref 0 and negative = ref 0 in
   for case = 0 to 1199 do
     let b = Buffer.create 4096 in
     let eol = if Rng.int rng 4 = 0 then "\r\n" else "\n" in
@@ -1164,7 +1165,7 @@ let test_serialize_files_match_oracle () =
       else content
     in
     with_trace_file content (fun path ->
-        let events, last = file_outcome (on_channel oracle_iter_channel) path in
+        let events, last = file_outcome (on_channel (oracle_iter_channel ~start:neg_infinity)) path in
         let show (events, last) = String.concat "\n" (List.map bits events @ [ last ]) in
         let check what actual expected =
           if not (String.equal (show actual) (show expected)) then
@@ -1172,14 +1173,12 @@ let test_serialize_files_match_oracle () =
               (show expected)
         in
         check "iter_channel" (file_outcome (on_channel Serialize.iter_channel) path) (events, last);
-        (* [load] hands over no event when it fails.  Its recorder's clock
-           starts at 0, so it refuses a first time below 0 with
-           [Invalid_argument]. *)
-        if recorder_accepts events then begin
-          incr loads;
-          check "load" (file_outcome loaded path)
-            ((if String.equal last "ok" then events else []), last)
-        end;
+        (* [load] hands over no event when it fails, and its guard starts
+           at 0. *)
+        let events, loaded_last = file_outcome (on_channel (oracle_iter_channel ~start:0.)) path in
+        check "load" (file_outcome loaded path)
+          ((if String.equal loaded_last "ok" then events else []), loaded_last);
+        if contains ~sub:"negative time" loaded_last then incr negative;
         incr
           (if String.equal last "ok" then oks
            else if contains ~sub:"time went backwards" last then backwards
@@ -1194,7 +1193,7 @@ let test_serialize_files_match_oracle () =
       ("read whole", oks);
       ("stop at a malformed line", malformed);
       ("step back", backwards);
-      ("loaded", loads);
+      ("refused by load at a negative time", negative);
     ]
 
 (* Allocation per event, writing a packet-level trace and streaming it

@@ -56,8 +56,11 @@
 #                             allocates 0 minor words per row
 #  13. meanfield smoke     -- the mean-field backend on the release
 #                             binary: a 100000-flow RED equilibrium
-#                             held to a sub-second solver budget, and
-#                             the quick netsim cross-validation
+#                             held to a sub-second solver budget, the
+#                             quick netsim cross-validation, and the
+#                             stdout of `pftk redstability` (at --jobs 1
+#                             and 2) and of `pftk meanfield` under each
+#                             drop law, which must match pinned digests
 #
 # Each phase reports its wall-clock time, to the millisecond where
 # `date +%s%N` works and to the second elsewhere.  Exits non-zero at the
@@ -321,5 +324,47 @@ phase "meanfield smoke: 100000-flow equilibrium under 0.5s" \
 
 phase "meanfield smoke: netsim cross-validation (quick)" \
   dune exec --profile release bin/pftk.exe -- meanfield --cross-validate --quick
+
+# The mean-field dynamics end to end: the full 12-cell RED stability
+# sweep at --jobs 1 and 2, and the equilibrium report with its verdict
+# under the RED, drop-tail and constant laws (default flags).  Only the
+# four quick RED cells inside `pftk all --quick` pinned `Dynamics` before;
+# these digests were recorded with the binary before the histogram's
+# two-sweep rewrite, which had to keep every bit (OCaml 5.1.1 on x86-64
+# Linux, like the others).  `pftk meanfield` times its solver on stderr,
+# so only stdout is pinned.  On a mismatch the outputs are kept.
+redstability_md5=df06a7839c77092c789231e40e9d7133
+meanfield_red_md5=0146bc8a4685ffc0c9e60f97988f2db8
+meanfield_droptail_md5=1d51f0a840c1047747e3ac937dcbeb00
+meanfield_constant_md5=f89f3e0fd35ae9b020fb6f5ee24540c0
+
+meanfield_digests() {
+  _out=$(mktemp -d)
+  dune exec --profile release bin/pftk.exe -- redstability --jobs 1 >"$_out/redstability1"
+  dune exec --profile release bin/pftk.exe -- redstability --jobs 2 >"$_out/redstability2"
+  for _law in red droptail constant; do
+    dune exec --profile release bin/pftk.exe -- meanfield --law "$_law" \
+      >"$_out/$_law" 2>"$_out/$_law.stderr"
+  done
+  _failed=0
+  for _pin in "redstability1 $redstability_md5" "redstability2 $redstability_md5" \
+    "red $meanfield_red_md5" "droptail $meanfield_droptail_md5" \
+    "constant $meanfield_constant_md5"; do
+    set -- $_pin
+    _md5=$(md5_of "$_out/$1")
+    if [ "$_md5" != "$2" ]; then
+      say "$1 stdout has MD5 $_md5, expected $2"
+      _failed=1
+    fi
+  done
+  if [ "$_failed" -ne 0 ]; then
+    say "mean-field outputs kept in $_out"
+    return 1
+  fi
+  rm -r "$_out"
+}
+
+phase "meanfield digests: pftk redstability and meanfield stdout, pinned" \
+  meanfield_digests
 
 say "all checks passed"
