@@ -213,8 +213,9 @@ let tfrc_cmd =
     if not (Float.is_finite rtt) then bad_argument "--rtt must be finite";
     let controller = Tfrc.Controller.create () in
     let rng = Pftk_stats.Rng.create ~seed () in
-    Format.fprintf ppf "TFRC controller under p=%g, RTT=%gs:@." p rtt;
-    Format.fprintf ppf "%8s %12s %12s@." "epoch" "rate pkt/s" "est. p";
+    (* Printed once every epoch has run, so a refused epoch leaves
+       stdout empty. *)
+    let rows = ref [] in
     for epoch = 1 to 24 do
       Tfrc.Controller.on_rtt_sample controller rtt;
       (* One RTT's worth of packets at the current rate. *)
@@ -230,12 +231,20 @@ let tfrc_cmd =
       done;
       Tfrc.Controller.feedback_epoch controller;
       if epoch mod 2 = 0 then
-        Format.fprintf ppf "%8d %12.2f %12s@." epoch
-          (Tfrc.Controller.allowed_rate controller)
-          (match Tfrc.Controller.loss_event_rate controller with
-          | Some est -> Printf.sprintf "%.4f" est
-          | None -> "-")
+        rows :=
+          ( epoch,
+            Tfrc.Controller.allowed_rate controller,
+            match Tfrc.Controller.loss_event_rate controller with
+            | Some est -> Printf.sprintf "%.4f" est
+            | None -> "-" )
+          :: !rows
     done;
+    Format.fprintf ppf "TFRC controller under p=%g, RTT=%gs:@." p rtt;
+    Format.fprintf ppf "%8s %12s %12s@." "epoch" "rate pkt/s" "est. p";
+    List.iter
+      (fun (epoch, rate, est) ->
+        Format.fprintf ppf "%8d %12.2f %12s@." epoch rate est)
+      (List.rev !rows);
     Format.fprintf ppf "eq. (33) at the true p: %.2f pkt/s@."
       (Approx_model.send_rate params p)
   in

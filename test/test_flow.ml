@@ -5,7 +5,7 @@
    One triggering fixture per rule F1-F4 (each proving a nonzero
    finding count), guard/allow/clean variants, an end-to-end exit-code
    check of the pftk_flow CLI, and the JSON/SARIF schema-shape test
-   shared by all four analyzer CLIs. *)
+   shared by all three analyzer CLIs. *)
 
 module Flow = Pftk_flow_engine
 module F = Pftk_findings
@@ -179,6 +179,15 @@ let test_f2_allow () =
        [
          ( "lib/core/f2_allowed.ml",
            "let[@pftk.zero_alloc] pair x = ((x, x) [@lint.allow \"F2\"])\n" );
+       ]);
+  (* The typer files the attribute of [(e : t) [@...]] under e's
+     exp_extra, not its exp_attributes. *)
+  check_rules "allow on a constrained expression" []
+    (analyze
+       [
+         ( "lib/core/f2_constrained.ml",
+           "let[@pftk.zero_alloc] pair (x : float) =\n\
+           \  ((x, x) : float * float) [@lint.allow \"F2\"]\n" );
        ])
 
 (* --- F3: exception escape from contract bodies ------------------------------- *)
@@ -273,11 +282,11 @@ let test_f4_allow () =
 let test_cmt_files () =
   let root = fresh_root () in
   Alcotest.(check (list string)) "no artifacts, no files" []
-    (Flow.cmt_files [ root ]);
+    (F.Cmt.files [ root ]);
   compile_fixtures root [ ("lib/core/disc.ml", "let x = 1\n") ];
   Alcotest.(check int)
     "one compiled fixture, one cmt" 1
-    (List.length (Flow.cmt_files [ root ]))
+    (List.length (F.Cmt.files [ root ]))
 
 (* --- CLI exit codes ----------------------------------------------------------- *)
 
@@ -332,14 +341,14 @@ let test_cli () =
   Alcotest.(check bool) "usage error explains itself" true
     (F.contains_sub err "no .cmt")
 
-(* --- JSON/SARIF schema shape across all four CLIs ------------------------------ *)
+(* --- JSON/SARIF schema shape across all three CLIs --------------------------- *)
 
 (* Every analyzer prints findings through [Pftk_findings.pp_findings_json]
    and [pp_findings_sarif], so the contracts below — a JSON array of
    objects whose keys appear in the fixed order file, line, col, rule,
    message, sorted by (file, line, col, rule); and a single-run SARIF
    2.1.0 log whose results cite rules declared by the driver — are
-   checked once against real output of all four CLIs rather than
+   checked once against real output of all three CLIs rather than
    per-tool. *)
 
 let index_of hay needle =
@@ -451,16 +460,8 @@ let check_cli_formats ~tool exe root =
   check_cli_sarif ~tool exe [ "--format=sarif"; root ]
 
 let test_json_schema_shape () =
-  (* One dirty tree per analyzer kind: a source tree for pftk-lint, a
-     compiled tree for pftk-race, pftk-flow and pftk-units.  Each tree
-     is checked in both machine formats. *)
-  let lint_root = fresh_root () in
-  let dir = List.fold_left Filename.concat lint_root [ "lib"; "core" ] in
-  mkdir_p dir;
-  let oc = open_out (Filename.concat dir "fixture.ml") in
-  output_string oc "let f x = x = 0.\nlet g = ref 0\n";
-  close_out oc;
-  check_cli_formats ~tool:"pftk-lint" (cli "pftk_lint.exe") lint_root;
+  (* One dirty compiled tree per analyzer, each checked in both machine
+     formats. *)
   let race_root = fresh_root () in
   compile_fixtures race_root
     [

@@ -1,15 +1,17 @@
 (* Tests for the pftk-race typed analyzer (tools/lint): fixtures are
    compiled to .cmt/.cmti with the toolchain's own ocamlc (-bin-annot)
    in a throwaway root laid out like the workspace, then fed to
-   [Pftk_race_engine.analyze_paths].  One triggering fixture per rule
-   R1-R4, suppressed fixtures for the [@lint.allow] escape hatch, zone
-   checks, and an end-to-end exit-code check of the pftk_race CLI. *)
+   [Pftk_race_engine.analyze_paths].  Triggering fixtures per rule
+   R1-R4, L2, L3 and L5 (and the polymorphic-comparison inputs R3
+   covers), suppressed fixtures for the [@lint.allow] escape hatch, zone
+   checks, a clean fixture, and an end-to-end exit-code check of the
+   pftk_race CLI. *)
 
 module Race = Pftk_race_engine
-module Lint = Pftk_lint_engine
+module F = Pftk_findings
 
 let case name f = Alcotest.test_case name `Quick f
-let rules fs = List.map (fun (f : Lint.finding) -> f.Lint.rule) fs
+let rules fs = List.map (fun (f : F.finding) -> f.F.rule) fs
 
 let check_rules msg expected fs =
   Alcotest.(check (list string)) msg expected (rules fs)
@@ -41,7 +43,8 @@ let fresh_root () =
 
 (* Write each (relative path, contents) fixture under [root] and compile
    it from [root] so the recorded source file stays workspace-relative
-   ("lib/core/fixture.ml"), which is what the zone rules key on. *)
+   ("lib/core/fixture.ml"), which is what the zone rules key on.  A
+   fixture sees the ones listed before it in its directory, and Unix. *)
 let compile_fixtures root fixtures =
   List.iter
     (fun (rel, contents) ->
@@ -58,7 +61,10 @@ let compile_fixtures root fixtures =
       (fun (rel, _) ->
         Sys.command
           (Filename.quote_command (Lazy.force ocamlc)
-             [ "-bin-annot"; "-w"; "-a"; "-c"; rel ])
+             [
+               "-bin-annot"; "-w"; "-a"; "-I"; "+unix"; "-I";
+               Filename.dirname rel; "-c"; rel;
+             ])
         <> 0)
       fixtures
   in
@@ -89,8 +95,8 @@ let test_r1_mutable_capture () =
       [
         ( "lib/experiments/r1_trigger.ml",
           parallel_stub
-          ^ "let hits = ref 0\n\
-             let burst xs =\n\
+          ^ "let burst xs =\n\
+            \  let hits = ref 0 in\n\
             \  Pftk_parallel.map ~jobs:2 (fun x -> incr hits; x + !hits) xs\n"
         );
       ]
@@ -100,9 +106,9 @@ let test_r1_mutable_capture () =
   | [ f ] ->
       Alcotest.(check bool)
         "finding names the captured ident" true
-        (String.length f.Lint.message > 0
-        && f.Lint.line > 0
-        && Filename.basename f.Lint.file = "r1_trigger.ml")
+        (String.length f.F.message > 0
+        && f.F.line > 0
+        && Filename.basename f.F.file = "r1_trigger.ml")
   | _ -> Alcotest.fail "expected a single finding"
 
 let test_r1_pool_submit () =
@@ -123,8 +129,8 @@ let test_r1_allow () =
        [
          ( "lib/experiments/r1_allowed.ml",
            parallel_stub
-           ^ "let hits = ref 0\n\
-              let burst xs =\n\
+           ^ "let burst xs =\n\
+             \  let hits = ref 0 in\n\
              \  Pftk_parallel.map ~jobs:2\n\
              \    ((fun x -> incr hits; x + !hits) [@lint.allow \"R1\"])\n\
              \    xs\n" );
@@ -234,16 +240,195 @@ let test_r4_zone_and_allow () =
             [@@lint.allow \"R4\"]\n" );
        ])
 
+(* --- The polymorphic-comparison inputs: R3 covers them --------------------- *)
+
+(* R3 reads the value's scheme, not its instance, so [=] is flagged even
+   on ints; a local monomorphic [min] is the unit's own value, not an
+   external one. *)
+let test_l1_inputs () =
+  check_rules "bare = flagged in lib/core" [ "R3" ]
+    (analyze [ ("lib/core/l1_eq.ml", "let f x = x = 0.\n") ]);
+  check_rules "= on ints flagged too" [ "R3" ]
+    (analyze [ ("lib/core/l1_int.ml", "let f (x : int) = x = 0\n") ]);
+  check_rules "qualified Stdlib.compare flagged" [ "R3" ]
+    (analyze
+       [
+         ( "lib/stats/l1_compare.ml",
+           "let sort a = Array.sort Stdlib.compare a\n" );
+       ]);
+  check_rules "min flagged in lib/stats" [ "R3" ]
+    (analyze [ ("lib/stats/l1_min.ml", "let lo a b = min a b\n") ]);
+  check_rules "Float.equal is the blessed spelling" []
+    (analyze [ ("lib/core/l1_float.ml", "let f x = Float.equal x 0.\n") ]);
+  check_rules "local monomorphic redefinition not flagged" []
+    (analyze
+       [
+         ( "lib/stats/l1_local.ml",
+           "let min (a : float) b = if a < b then a else b\nlet lo = min 1. 2.\n"
+         );
+       ]);
+  check_rules "polymorphic = allowed outside lib/core and lib/stats" []
+    (analyze [ ("lib/tcp/l1_zone.ml", "let f x = x = 0\n") ])
+
+(* --- L2: determinism ------------------------------------------------------- *)
+
+let test_l2_determinism () =
+  check_rules "Random.* in lib/" [ "L2" ]
+    (analyze [ ("lib/loss/l2_random.ml", "let jitter () = Random.float 1.\n") ]);
+  check_rules "Random.State too" [ "L2" ]
+    (analyze
+       [
+         ( "lib/loss/l2_state.ml",
+           "let s () = Random.State.make_self_init ()\n" );
+       ]);
+  check_rules "Sys.time in lib/" [ "L2" ]
+    (analyze [ ("lib/experiments/l2_sys.ml", "let t () = Sys.time ()\n") ]);
+  check_rules "Unix.gettimeofday in lib/" [ "L2" ]
+    (analyze [ ("lib/trace/l2_unix.ml", "let t () = Unix.gettimeofday ()\n") ]);
+  check_rules "Unix.time in lib/" [ "L2" ]
+    (analyze [ ("lib/trace/l2_time.ml", "let t () = Unix.time ()\n") ]);
+  check_rules "wall clock is fine in perfbench/" []
+    (analyze [ ("perfbench/l2_zone.ml", "let t () = Unix.gettimeofday ()\n") ])
+
+(* --- L3: mutable state created at module init time ------------------------- *)
+
+let test_l3_domain_safety () =
+  check_rules "toplevel Hashtbl.create" [ "L3" ]
+    (analyze
+       [
+         ( "lib/core/l3_hashtbl.ml",
+           "let cache : (int, float) Hashtbl.t = Hashtbl.create 16\n" );
+       ]);
+  check_rules "toplevel ref" [ "L3" ]
+    (analyze [ ("lib/dataset/l3_ref.ml", "let counter = ref 0\n") ]);
+  check_rules "toplevel Buffer.create" [ "L3" ]
+    (analyze
+       [ ("lib/trace/l3_buffer.ml", "let scratch = Buffer.create 256\n") ]);
+  check_rules "toplevel expression item" [ "L3" ]
+    (analyze [ ("lib/trace/l3_eval.ml", ";; ignore (ref 0)\n") ]);
+  check_rules "toplevel mutable-field record literal" [ "L3" ]
+    (analyze
+       [
+         ( "lib/netsim/l3_record.ml",
+           "type s = { mutable n : int }\nlet shared = { n = 0 }\n" );
+       ]);
+  check_rules "mutable field of a type from another module" [ "L3" ]
+    (analyze
+       [
+         ("lib/netsim/l3_types.ml", "type s = { mutable n : int }\n");
+         ("lib/netsim/l3_cross.ml", "let shared = { L3_types.n = 0 }\n");
+       ]);
+  check_rules "ref inside a function body is per-call state" []
+    (analyze
+       [
+         ( "lib/dataset/l3_fresh.ml",
+           "let fresh () = ref 0\nlet table () = Hashtbl.create 16\n" );
+       ]);
+  check_rules "immutable record literal at toplevel is fine" []
+    (analyze
+       [
+         ( "lib/netsim/l3_immutable.ml",
+           "type s = { n : int }\nlet shared = { n = 0 }\n" );
+       ])
+
+(* --- L5: Obj.magic and partial accessors ----------------------------------- *)
+
+let test_l5_partiality () =
+  check_rules "Obj.magic" [ "L5" ]
+    (analyze
+       [
+         ( "lib/core/l5_magic.ml",
+           "let coerce (x : int) : float = Obj.magic x\n" );
+       ]);
+  check_rules "List.hd" [ "L5" ]
+    (analyze [ ("lib/experiments/l5_hd.ml", "let first xs = List.hd xs\n") ]);
+  check_rules "Option.get" [ "L5" ]
+    (analyze [ ("lib/tcp/l5_get.ml", "let force o = Option.get o\n") ]);
+  check_rules "Option.value is fine" []
+    (analyze
+       [ ("lib/tcp/l5_value.ml", "let force o = Option.value ~default:0 o\n") ])
+
+(* --- [@lint.allow] suppression --------------------------------------------- *)
+
+let test_allow_attribute () =
+  check_rules "expression-scoped allow suppresses the finding" []
+    (analyze
+       [
+         ( "lib/core/allow_expr.ml",
+           "let same a b = (a = b) [@lint.allow \"R3\"]\n" );
+       ]);
+  check_rules "binding-scoped allow ([@@...]) suppresses too" []
+    (analyze
+       [
+         ( "lib/trace/allow_binding.ml",
+           "let stamp () = Unix.gettimeofday () [@@lint.allow \"L2\"]\n" );
+       ]);
+  check_rules "allow is scoped: sibling bindings still flagged" [ "L2" ]
+    (analyze
+       [
+         ( "lib/trace/allow_sibling.ml",
+           "let a () = Unix.gettimeofday () [@@lint.allow \"L2\"]\n\
+            let b () = Unix.gettimeofday ()\n" );
+       ]);
+  check_rules "allow names only the listed rule" [ "L2" ]
+    (analyze
+       [
+         ( "lib/core/allow_listed.ml",
+           "let f x = (x = Sys.time ()) [@lint.allow \"R3\"]\n" );
+       ]);
+  check_rules "item-scoped allow on a toplevel expression" []
+    (analyze
+       [
+         ( "lib/trace/allow_eval.ml",
+           ";; ignore (ref 0) [@@lint.allow \"L3\"]\n" );
+       ]);
+  check_rules "several rules in one attribute" []
+    (analyze
+       [
+         ( "lib/core/allow_several.ml",
+           "let f x = (x = Sys.time ()) [@lint.allow \"R3 L2\"]\n" );
+       ]);
+  (* The typer files the attribute of [(e : t) [@...]] under e's
+     exp_extra, not its exp_attributes. *)
+  check_rules "allow on a constrained expression (R3)" []
+    (analyze
+       [
+         ( "lib/core/allow_constrained.ml",
+           "let order (a : float) b = (compare a b : int) [@lint.allow \"R3\"]\n"
+         );
+       ]);
+  check_rules "allow on a constrained expression (L3)" []
+    (analyze
+       [
+         ( "lib/dataset/allow_constrained.ml",
+           "let counter = (ref 0 : int ref) [@lint.allow \"L3\"]\n" );
+       ])
+
+(* --- Clean fixture --------------------------------------------------------- *)
+
+let test_clean () =
+  check_rules "idiomatic model code has zero findings" []
+    (analyze
+       [
+         ( "lib/core/clean.ml",
+           "let send_rate ~rtt p =\n\
+           \  if not (rtt > 0. && p > 0. && p < 1.) then\n\
+           \    invalid_arg \"send_rate\";\n\
+           \  1. /. (rtt *. sqrt (2. *. p /. 3.))\n\
+            let clamp lo hi x = Float.min hi (Float.max lo x)\n\
+            let is_zero x = Float.equal x 0.\n" );
+       ])
+
 (* --- cmt discovery ----------------------------------------------------------- *)
 
 let test_cmt_files () =
   let root = fresh_root () in
   Alcotest.(check (list string)) "no artifacts, no files" []
-    (Race.cmt_files [ root ]);
+    (F.Cmt.files [ root ]);
   compile_fixtures root [ ("lib/core/disc.ml", "let x = 1\n") ];
   Alcotest.(check int)
     "one compiled fixture, one cmt" 1
-    (List.length (Race.cmt_files [ root ]))
+    (List.length (F.Cmt.files [ root ]))
 
 (* --- CLI exit codes ----------------------------------------------------------- *)
 
@@ -277,8 +462,9 @@ let test_cli () =
     [
       ( "lib/experiments/cli_fixture.ml",
         parallel_stub
-        ^ "let hits = ref 0\n\
-           let burst xs = Pftk_parallel.map ~jobs:2 (fun _ -> incr hits) xs\n"
+        ^ "let burst xs =\n\
+          \  let hits = ref 0 in\n\
+          \  Pftk_parallel.map ~jobs:2 (fun _ -> incr hits) xs\n"
       );
     ];
   let status, text = run_cli [ dirty ] in
@@ -292,7 +478,11 @@ let test_cli () =
   let clean = fresh_root () in
   compile_fixtures clean [ ("lib/core/cli_clean.ml", "let x = 1\n") ];
   let status_clean, _ = run_cli [ clean ] in
-  Alcotest.(check int) "clean tree exits 0" 0 status_clean
+  Alcotest.(check int) "clean tree exits 0" 0 status_clean;
+  let status_missing, missing = run_cli [ clean; "nosuchdir" ] in
+  Alcotest.(check int) "a missing root exits 2" 2 status_missing;
+  Alcotest.(check bool) "and is named" true
+    (contains missing "pftk-race: no such directory: nosuchdir")
 
 let () =
   Alcotest.run "pftk_race"
@@ -309,6 +499,12 @@ let () =
           case "R4 guarded entry point" test_r4_guarded;
           case "R4 _unchecked exemption" test_r4_unchecked_suffix;
           case "R4 zone and allow" test_r4_zone_and_allow;
+          case "L1 polymorphic comparison" test_l1_inputs;
+          case "L2 determinism" test_l2_determinism;
+          case "L3 domain safety" test_l3_domain_safety;
+          case "L5 partiality" test_l5_partiality;
+          case "lint.allow suppression" test_allow_attribute;
+          case "clean fixture" test_clean;
           case "cmt discovery" test_cmt_files;
         ] );
       ("cli", [ case "exit codes and formats" test_cli ]);

@@ -1,19 +1,22 @@
 #!/bin/sh
 # One-command local CI for the pftk repo.  Runs, in order:
 #
-#   1. dune build          -- compiles everything at -warn-error +a and,
-#                             via the default alias, runs the @lint
-#                             (pftk-lint, rules L1-L5), @race
-#                             (pftk-race, rules R1-R4), @flow
-#                             (pftk-flow, rules F1-F4) and @units
-#                             (pftk-units, rules U1-U4) analyzers
+#   1. dune build          -- compiles everything at -warn-error +a
+#                             (lib/ modules without an .mli fail with
+#                             warning 70) and, via the default alias,
+#                             runs the @race (pftk-race, rules R1-R4,
+#                             L2, L3, L5), @flow (pftk-flow, rules
+#                             F1-F4) and @units (pftk-units, rules
+#                             U1-U4) analyzers
 #   2. @flow, @units (timed)
 #                          -- the interprocedural contract analyzer and
 #                             the dimensional-analysis pass, each as its
 #                             own timed phase
 #   3. analyzer self-test  -- the deliberately-broken fixtures under
 #                             tools/lint/fixtures must each make their
-#                             analyzer exit 1 (tools/ci/analyzer_selftest.sh)
+#                             analyzer exit 1, and a module without an
+#                             .mli must fail a build under a copy of
+#                             lib/dune (tools/ci/analyzer_selftest.sh)
 #   4. dune runtest        -- every alcotest/qcheck suite
 #   5. equivalence suite   -- the online/post-hoc agreement contract:
 #                             every streaming summary must match
@@ -91,7 +94,7 @@ phase() {
   say "$(printf '%s: done in %d.%03ds' "$_label" $((_ms / 1000)) $((_ms % 1000)))"
 }
 
-phase "dune build (default alias: compile + @lint + @race + @flow + @units)" dune build
+phase "dune build (default alias: compile + @race + @flow + @units)" dune build
 
 phase "dune build @flow (pftk-flow, rules F1-F4)" dune build @flow
 

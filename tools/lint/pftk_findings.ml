@@ -1,9 +1,9 @@
-(* Shared plumbing for the in-repo analyzers (pftk-lint, pftk-race,
-   pftk-flow): the finding record and its two renderings, the path-zone
+(* Shared plumbing for the in-repo analyzers (pftk-race, pftk-flow,
+   pftk-units): the finding record and its renderings, the path-zone
    tests, the scoped [@lint.allow "..."] escape hatch, canonical-name
    helpers for dune's wrapped-library mangling, .cmt/.cmti discovery and
-   loading, and the common CLI protocol (argument parsing, --format=json,
-   exit codes). Each engine keeps only its rules. *)
+   loading, and the common CLI protocol (argument parsing, root lookup,
+   --format=json/sarif, exit codes). Each engine keeps only its rules. *)
 
 type finding = {
   file : string;
@@ -160,6 +160,11 @@ module Allow = struct
       rules;
     rules
 
+  let push_expr t (e : Typedtree.expression) =
+    push t
+      (e.exp_attributes
+      @ List.concat_map (fun (_, _, attrs) -> attrs) e.exp_extra)
+
   let pop t rules =
     List.iter
       (fun r ->
@@ -243,55 +248,57 @@ module Cmt = struct
   let load_all paths = List.filter_map load (files paths)
 end
 
-let expand_build_roots roots =
-  List.concat_map
-    (fun r ->
-      let built = Filename.concat (Filename.concat "_build" "default") r in
-      (if Sys.file_exists r then [ r ] else [])
-      @ if Sys.file_exists built then [ built ] else [])
-    roots
-
 (* --- CLI protocol ---------------------------------------------------------- *)
 
-let run_cli ~tool ~default_roots ~analyze =
+let run_cli ~tool ~analyze =
   let args = List.tl (Array.to_list Sys.argv) in
   let json = List.mem "--format=json" args in
   let sarif = List.mem "--format=sarif" args in
-  let bad =
-    List.filter
-      (fun a ->
+  let fail message =
+    Printf.eprintf "%s: %s\n" tool message;
+    exit 2
+  in
+  List.iter
+    (fun a ->
+      if
         String.length a >= 2
         && String.sub a 0 2 = "--"
         && a <> "--format=json" && a <> "--format=sarif"
-        && a <> "--format=text")
-      args
-  in
-  (match bad with
-  | [] -> ()
-  | b :: _ ->
-      Printf.eprintf "%s: unknown option %s\n" tool b;
-      exit 2);
+        && a <> "--format=text"
+      then fail ("unknown option " ^ a))
+    args;
   let roots =
     match
       List.filter
         (fun a -> not (String.length a >= 2 && String.sub a 0 2 = "--"))
         args
     with
-    | [] -> default_roots
+    | [] -> [ "lib"; "bin"; "examples" ]
     | roots -> roots
   in
-  match analyze roots with
-  | Error message ->
-      Printf.eprintf "%s: %s\n" tool message;
-      exit 2
-  | Ok (findings, detail) -> (
-      if sarif then Format.printf "%a@." (pp_findings_sarif ~tool) findings
-      else if json then Format.printf "%a@." pp_findings_json findings
-      else List.iter (Format.printf "%a@." pp_finding) findings;
-      match findings with
-      | [] ->
-          Printf.eprintf "%s: clean (%s)\n" tool detail;
-          exit 0
-      | _ :: _ ->
-          Printf.eprintf "%s: %d finding(s)\n" tool (List.length findings);
-          exit 1)
+  let paths =
+    List.concat_map
+      (fun r ->
+        let built = Filename.concat (Filename.concat "_build" "default") r in
+        match List.filter Sys.file_exists [ r; built ] with
+        | [] -> fail ("no such directory: " ^ r)
+        | found -> found)
+      roots
+  in
+  let units = List.length (Cmt.files paths) in
+  if units = 0 then
+    fail
+      (Printf.sprintf
+         "no .cmt/.cmti files under %s (run `dune build @check` first)"
+         (String.concat " " roots));
+  let findings = analyze paths in
+  if sarif then Format.printf "%a@." (pp_findings_sarif ~tool) findings
+  else if json then Format.printf "%a@." pp_findings_json findings
+  else List.iter (Format.printf "%a@." pp_finding) findings;
+  match findings with
+  | [] ->
+      Printf.eprintf "%s: clean (%d compilation units)\n" tool units;
+      exit 0
+  | _ :: _ ->
+      Printf.eprintf "%s: %d finding(s)\n" tool (List.length findings);
+      exit 1

@@ -1,24 +1,21 @@
-(** Shared plumbing for the four in-repo analyzers — pftk-lint (AST
-    rules L1–L5), pftk-race (typed rules R1–R4), pftk-flow
-    (interprocedural rules F1–F4) and pftk-units (dimensional rules
-    U1–U4).  Everything the engines have in
-    common lives here so each engine file carries only its rules: the
-    finding record with its text and JSON renderings, path-zone tests,
-    the scoped [[@lint.allow "..."]] escape hatch, canonical-name
-    helpers for dune's wrapped-library name mangling, [.cmt]/[.cmti]
-    discovery/loading, and the common CLI protocol. *)
+(** Shared plumbing for the three in-repo analyzers — pftk-race (typed
+    rules R1–R4, L2, L3, L5), pftk-flow (interprocedural rules F1–F4)
+    and pftk-units (dimensional rules U1–U4).  Everything the engines
+    have in common lives here so each engine file carries only its
+    rules: the finding record with its text and JSON renderings,
+    path-zone tests, the scoped [[@lint.allow "..."]] escape hatch,
+    canonical-name helpers for dune's wrapped-library name mangling,
+    [.cmt]/[.cmti] discovery/loading, and the common CLI protocol. *)
 
 type finding = {
   file : string;
   line : int;  (** 1-based *)
   col : int;  (** 0-based, compiler convention *)
   rule : string;
-      (** "L1".."L5", "R1".."R4", "F1".."F4", "U1".."U4", or "parse" *)
+      (** "R1".."R4", "L2", "L3", "L5", "F1".."F4", "U1".."U4", or
+          "parse" *)
   message : string;
 }
-
-val pp_finding : Format.formatter -> finding -> unit
-(** Renders as [file:line:col [rule] message]. *)
 
 val pp_findings_json : Format.formatter -> finding list -> unit
 (** Renders the findings as a JSON array, one object per finding with
@@ -42,26 +39,27 @@ val finding_of_loc : file:string -> Location.t -> string -> string -> finding
 val contains_sub : string -> string -> bool
 (** [contains_sub s sub]: does [s] contain [sub]? *)
 
-val normalize : string -> string
-(** Forward slashes, no leading [./]. *)
-
 val under : root:string -> string -> bool
 (** [under ~root path]: is [path] inside directory [root], whether given
     workspace-relative or absolute? Shared zone test for all engines. *)
 
-val allows_of_attrs : Parsetree.attributes -> string list
-(** Rule names listed in [[@lint.allow "..."]] attributes (space- or
-    comma-separated). Typedtree attributes are Parsetree attributes, so
-    the typed engines use the same reader. *)
-
 (** Scoped suppression bookkeeping: a counting multiset of the rules
     currently allowed. Engines [push] on entering an attributed node and
-    [pop] with the returned list on the way out. *)
+    [pop] with the returned list on the way out. A [[@lint.allow "..."]]
+    attribute lists rule names separated by spaces or commas. *)
 module Allow : sig
   type t
 
   val create : unit -> t
+
   val push : t -> Parsetree.attributes -> string list
+  (** The allows of a binding's or declaration's attributes. *)
+
+  val push_expr : t -> Typedtree.expression -> string list
+  (** The allows of an expression: its own attributes and those the
+      typer moved into [exp_extra], where an attribute on a constrained
+      or coerced expression ([(e : t) [@lint.allow "R3"]]) lands. *)
+
   val pop : t -> string list -> unit
 
   val active : t -> string -> bool
@@ -102,20 +100,13 @@ module Cmt : sig
   (** [load] over [files], dropping unreadable entries. *)
 end
 
-val expand_build_roots : string list -> string list
-(** Each root looked up both as given and under [_build/default], so the
-    cmt-reading tools work from the build context (dune alias rules) and
-    from the source root (developers). *)
-
-val run_cli :
-  tool:string ->
-  default_roots:string list ->
-  analyze:(string list -> (finding list * string, string) result) ->
-  unit
-(** The CLI protocol shared by all four tools: positional arguments are
-    roots (defaulting to [default_roots]), [--format=json] switches the
+val run_cli : tool:string -> analyze:(string list -> finding list) -> unit
+(** The CLI protocol shared by all three tools: positional arguments are
+    roots (default: [lib bin examples]), [--format=json] switches the
     report to JSON and [--format=sarif] to SARIF 2.1.0, any other [--]
-    option errors with exit 2. [analyze]
-    maps the roots to findings plus a human summary detail for the
-    "clean (...)" stderr line, or [Error message] (printed as
-    "tool: message", exit 2). Exits 0 when clean, 1 on findings. *)
+    option errors with exit 2.  Each root is looked up both as given and
+    under [_build/default], so the tools work from the build context
+    (dune alias rules) and from the source root (developers); a root
+    found in neither place ("tool: no such directory: ROOT"), or roots
+    holding no [.cmt]/[.cmti] file, exit 2.  [analyze] maps the found
+    paths to findings.  Exits 0 when clean, 1 on findings. *)

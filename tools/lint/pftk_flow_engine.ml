@@ -280,7 +280,7 @@ let rec establishes_guard e =
 (* --- F1: guard domination for _unchecked call sites ------------------------- *)
 
 let rec f1_walk st fn guarded e =
-  let rs = push st e.exp_attributes in
+  let rs = F.Allow.push_expr st.allows e in
   (match e.exp_desc with
   | Texp_ident (p, _, _) when is_unchecked (Path.last p) ->
       if not guarded then
@@ -344,7 +344,7 @@ let rec f2_spine st fn e =
   | _ -> f2_walk st fn e
 
 and f2_walk st fn e =
-  let rs = push st e.exp_attributes in
+  let rs = F.Allow.push_expr st.allows e in
   let bad fmt =
     Printf.ksprintf
       (fun msg ->
@@ -438,7 +438,7 @@ let raise_why st name =
   | _ -> "it can raise"
 
 let rec f3_walk st fn e =
-  let rs = push st e.exp_attributes in
+  let rs = F.Allow.push_expr st.allows e in
   (match e.exp_desc with
   | Texp_try (_, handlers) ->
       (* The body's exceptions are handled right here; only the
@@ -534,8 +534,6 @@ let rec f4_signature st ~file ~scope (sg : signature) =
     sg.sig_items
 
 (* --- Driver ------------------------------------------------------------------ *)
-
-let cmt_files = F.Cmt.files
 
 let analyze_paths paths =
   let st =

@@ -40,17 +40,12 @@
       "NaN" in its [.mli] doc comment — a pinned substring check, so
       sentinel discipline stays auditable at the interface.
 
-    Findings use the shared pftk-lint format and honour the same scoped
-    [[@lint.allow "F1"]] escape hatch on expressions, value bindings and
-    (for F4) interface declarations.
+    Findings use the shared pftk-findings format and honour the same
+    scoped [[@lint.allow "F1"]] escape hatch on expressions (constrained
+    ones included), value bindings and (for F4) interface declarations.
 
     The analyzer keeps run-wide state (the function table and call
     graph); it is not thread-safe. *)
-
-val cmt_files : string list -> string list
-(** The [.cmt]/[.cmti] files the analyzer would load under the given
-    paths (sorted, deduplicated). Lets callers distinguish "clean tree"
-    from "nothing was analyzed because no build artefacts exist". *)
 
 val analyze_paths : string list -> Pftk_findings.finding list
 (** [analyze_paths paths] loads every [.cmt]/[.cmti] found under the

@@ -2,8 +2,8 @@
    emits. Loads every compilation unit under the given roots with
    [Cmt_format.read_cmt], builds a cross-module table of type
    declarations (pass 1), then walks each Typedtree with
-   [Tast_iterator] enforcing R1-R4 (pass 2). See the .mli for the rule
-   definitions. *)
+   [Tast_iterator] enforcing R1-R4, L2, L3 and L5 (pass 2). See the .mli
+   for the rule definitions. *)
 
 open Typedtree
 module F = Pftk_findings
@@ -248,9 +248,9 @@ let mutable_captures st ~unit closure =
    arguments the *same* type variable: [=], [<>], [==], [compare],
    [min], [max], and any alias or functor instance thereof. Local
    ([Pident]) definitions are the caller's own monomorphic helpers, and
-   the four ordering operators are exempt to match L1 (float ordering is
-   idiomatic model code; aliasing an ordering operator under another
-   name still trips the shape test at the alias site). *)
+   the four ordering operators are exempt (float ordering is idiomatic
+   model code; aliasing an ordering operator under another name still
+   trips the shape test at the alias site). *)
 let is_poly_compare_use path (vd : Types.value_description) =
   (match path with Path.Pident _ -> false | _ -> true)
   && (match List.rev (split_canonical (Path.name path)) with
@@ -482,10 +482,86 @@ let rec r2_signature st ~file ~unit (sg : signature) =
       | _ -> ())
     sg.sig_items
 
-(* --- Main expression walk (R1 + R3) ---------------------------------------- *)
+(* --- L2, L3, L5: determinism, init-time state and partiality in lib/ ------- *)
 
-let analyze_structure st ~file ~unit ~core_stats (str : structure) =
+let lib_ident_rule p =
+  match strip_stdlib (split_canonical (Path.name p)) with
+  | "Random" :: _ :: _ ->
+      Some
+        ( "L2",
+          "Random.* in lib/; all randomness must flow through Pftk_stats.Rng \
+           so parallel runs stay reproducible" )
+  | [ "Sys"; "time" ] | [ "Unix"; ("gettimeofday" | "time") ] ->
+      Some
+        ( "L2",
+          "wall-clock reading in lib/; timing belongs in bin/ or perfbench/, \
+           not in model or experiment code" )
+  | [ "Obj"; "magic" ] -> Some ("L5", "Obj.magic defeats the type system")
+  | [ "List"; "hd" ] ->
+      Some
+        ( "L5",
+          "partial List.hd in lib/; match on the list (or use a non-empty \
+           representation)" )
+  | [ "Option"; "get" ] ->
+      Some
+        ( "L5",
+          "partial Option.get in lib/; match on the option or use \
+           Option.value" )
+  | _ -> None
+
+(* L3 for an expression a module evaluates at init time: the mutable
+   state it creates is shared by every domain a fan-out spawns.  The
+   record test reads the typed label, so a literal of a type declared in
+   another module counts too. *)
+let init_time_state e =
+  match e.exp_desc with
+  | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) -> (
+      match strip_stdlib (split_canonical (Path.name p)) with
+      | ([ "ref" ] | [ "Hashtbl"; "create" ] | [ "Buffer"; "create" ]) as parts
+        ->
+          Some
+            (Printf.sprintf
+               "`%s' at module toplevel creates shared mutable state; this \
+                races under Pftk_parallel domain fan-outs -- allocate it \
+                inside the function that uses it"
+               (String.concat "." parts))
+      | _ -> None)
+  | Texp_record { fields; _ } ->
+      Array.find_map
+        (fun ((l : Types.label_description), _) ->
+          match l.lbl_mut with
+          | Asttypes.Mutable ->
+              Some
+                (Printf.sprintf
+                   "record literal with mutable field `%s' at module \
+                    toplevel is shared mutable state; it races under \
+                    Pftk_parallel domain fan-outs"
+                   l.lbl_name)
+          | Asttypes.Immutable -> None)
+        fields
+  | _ -> None
+
+(* --- Main expression walk (R1, R3, L2, L3, L5) ----------------------------- *)
+
+let analyze_structure st ~file ~unit ~core_stats ~lib (str : structure) =
   let super = Tast_iterator.default_iterator in
+  (* Inside a toplevel value or expression item, before the first
+     function literal: code the module runs once, at init time. *)
+  let init_time = ref false in
+  let item_it it (item : structure_item) =
+    let init_item attrs =
+      let rs = push st attrs in
+      let saved = !init_time in
+      init_time := lib;
+      super.structure_item it item;
+      init_time := saved;
+      pop st rs
+    in
+    match item.str_desc with
+    | Tstr_value _ -> init_item []
+    | Tstr_eval (_, attrs) -> init_item attrs
+    | _ -> super.structure_item it item
+  in
   let vb_it it vb =
     let rs = push st vb.vb_attributes in
     super.value_binding it vb;
@@ -494,7 +570,7 @@ let analyze_structure st ~file ~unit ~core_stats (str : structure) =
   let check_closure callee (a : expression) =
     match a.exp_desc with
     | Texp_function _ ->
-        let rs = push st a.exp_attributes in
+        let rs = F.Allow.push_expr st.allows a in
         List.iter
           (fun (id, (use : expression)) ->
             report st ~file use.exp_loc "R1"
@@ -508,7 +584,7 @@ let analyze_structure st ~file ~unit ~core_stats (str : structure) =
     | _ -> ()
   in
   let expr_it it (e : expression) =
-    let rs = push st e.exp_attributes in
+    let rs = F.Allow.push_expr st.allows e in
     (match e.exp_desc with
     | Texp_apply (fn, args) -> (
         match trigger_of_callee fn with
@@ -525,16 +601,35 @@ let analyze_structure st ~file ~unit ~core_stats (str : structure) =
               Float.equal/Float.compare or another typed comparator)"
              (Path.name p)
              (type_to_string vd.Types.val_type))
+    | Texp_ident (p, _, _) when lib -> (
+        match lib_ident_rule p with
+        | Some (rule, message) -> report st ~file e.exp_loc rule message
+        | None -> ())
     | _ -> ());
-    super.expr it e;
+    (if !init_time then
+       match init_time_state e with
+       | Some message -> report st ~file e.exp_loc "L3" message
+       | None -> ());
+    (match e.exp_desc with
+    | Texp_function _ when !init_time ->
+        (* A function body runs at call time: L3's scan stops here. *)
+        init_time := false;
+        super.expr it e;
+        init_time := true
+    | _ -> super.expr it e);
     pop st rs
   in
-  let it = { super with expr = expr_it; value_binding = vb_it } in
+  let it =
+    {
+      super with
+      expr = expr_it;
+      value_binding = vb_it;
+      structure_item = item_it;
+    }
+  in
   it.structure it str
 
 (* --- Loading --------------------------------------------------------------- *)
-
-let cmt_files = F.Cmt.files
 
 let analyze_paths paths =
   let st =
@@ -563,7 +658,8 @@ let analyze_paths paths =
           let core_stats =
             F.under ~root:"lib/core" file || F.under ~root:"lib/stats" file
           in
-          analyze_structure st ~file ~unit:u.u_name ~core_stats str;
+          analyze_structure st ~file ~unit:u.u_name ~core_stats
+            ~lib:(F.under ~root:"lib" file) str;
           if F.under ~root:"lib/core" file then begin
             let is_exported =
               match Hashtbl.find_opt st.exported u.u_name with

@@ -423,7 +423,7 @@ let rec split_last = function
    walked exactly once per pass. *)
 
 let rec infer st env fn e =
-  let rs = push st e.exp_attributes in
+  let rs = F.Allow.push_expr st.allows e in
   let v = infer_desc st env fn e in
   (* An expression-level [@pftk.unit "..."] is a cast: it overrides
      whatever the inference concluded, no questions asked. *)
@@ -892,8 +892,6 @@ let check_fn st fn =
   pop st rs
 
 (* --- Driver -------------------------------------------------------------------- *)
-
-let cmt_files = F.Cmt.files
 
 let analyze_paths paths =
   let st =

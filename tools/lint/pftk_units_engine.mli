@@ -88,11 +88,6 @@ val u3_roots : string list
 (** The interface zone U3 audits: [lib/core], [lib/batch],
     [lib/online]. *)
 
-val cmt_files : string list -> string list
-(** The [.cmt]/[.cmti] files the analyzer would load under the given
-    paths (sorted, deduplicated). Lets callers distinguish "clean tree"
-    from "nothing was analyzed because no build artefacts exist". *)
-
 val analyze_paths : string list -> Pftk_findings.finding list
 (** [analyze_paths paths] loads every [.cmt]/[.cmti] under the given
     paths, collects declared units from the interfaces (checking U3 in
