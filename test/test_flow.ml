@@ -1,79 +1,16 @@
-(* Tests for the pftk-flow interprocedural contract analyzer
-   (tools/lint): fixtures are compiled to .cmt/.cmti with the
-   toolchain's own ocamlc (-bin-annot) in a throwaway root laid out
-   like the workspace, then fed to [Pftk_flow_engine.analyze_paths].
+(* Tests for the flow rules of pftk-analyze (tools/lint): fixtures are
+   compiled to .cmt/.cmti in a throwaway root laid out like the
+   workspace (Lint_fixture), then fed to [Pftk_flow_engine.analyze].
    One triggering fixture per rule F1-F4 (each proving a nonzero
-   finding count), guard/allow/clean variants, an end-to-end exit-code
-   check of the pftk_flow CLI, and the JSON/SARIF schema-shape test
-   shared by all three analyzer CLIs. *)
+   finding count) and guard/allow/clean variants.  Then the
+   pftk_analyze CLI end to end: exit codes and formats, one run
+   reporting all three rule families, and the JSON/SARIF schema
+   shape. *)
 
-module Flow = Pftk_flow_engine
+open Lint_fixture
 module F = Pftk_findings
 
-let case name f = Alcotest.test_case name `Quick f
-let rules fs = List.map (fun (f : F.finding) -> f.F.rule) fs
-
-let check_rules msg expected fs =
-  Alcotest.(check (list string)) msg expected (rules fs)
-
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    Sys.mkdir d 0o755
-  end
-
-(* The compiler that built us: Config.standard_library is
-   <prefix>/lib/ocaml, so ocamlc lives two levels up in <prefix>/bin;
-   fall back to PATH lookup for unusual layouts. *)
-let ocamlc =
-  lazy
-    (let prefix =
-       Filename.dirname (Filename.dirname Config.standard_library)
-     in
-     let candidate =
-       Filename.concat (Filename.concat prefix "bin") "ocamlc"
-     in
-     if Sys.file_exists candidate then candidate else "ocamlc")
-
-let fresh_root () =
-  let root = Filename.temp_file "pftk_flow" "" in
-  Sys.remove root;
-  mkdir_p root;
-  root
-
-(* Write each (relative path, contents) fixture under [root] and compile
-   it from [root] so the recorded source file stays workspace-relative,
-   which is what F4's lib/ interface scoping keys on.  List .mli
-   fixtures before their .ml so interfaces compile first. *)
-let compile_fixtures root fixtures =
-  List.iter
-    (fun (rel, contents) ->
-      let path = Filename.concat root rel in
-      mkdir_p (Filename.dirname path);
-      let oc = open_out path in
-      output_string oc contents;
-      close_out oc)
-    fixtures;
-  let cwd = Sys.getcwd () in
-  Sys.chdir root;
-  let failed =
-    List.exists
-      (fun (rel, _) ->
-        Sys.command
-          (Filename.quote_command (Lazy.force ocamlc)
-             [
-               "-bin-annot"; "-w"; "-a"; "-I"; Filename.dirname rel; "-c"; rel;
-             ])
-        <> 0)
-      fixtures
-  in
-  Sys.chdir cwd;
-  if failed then Alcotest.fail "fixture did not compile"
-
-let analyze fixtures =
-  let root = fresh_root () in
-  compile_fixtures root fixtures;
-  Flow.analyze_paths [ root ]
+let analyze = run Pftk_flow_engine.analyze
 
 (* --- F1: guard domination of _unchecked call sites -------------------------- *)
 
@@ -277,79 +214,103 @@ let test_f4_allow () =
          ("lib/core/f4_allowed.ml", f4_impl);
        ])
 
-(* --- cmt discovery ----------------------------------------------------------- *)
-
-let test_cmt_files () =
-  let root = fresh_root () in
-  Alcotest.(check (list string)) "no artifacts, no files" []
-    (F.Cmt.files [ root ]);
-  compile_fixtures root [ ("lib/core/disc.ml", "let x = 1\n") ];
-  Alcotest.(check int)
-    "one compiled fixture, one cmt" 1
-    (List.length (F.Cmt.files [ root ]))
-
 (* --- CLI exit codes ----------------------------------------------------------- *)
 
-(* The test binary runs from _build/default/test, so the CLIs (declared
-   dune dependencies) sit next door under tools/lint. *)
-let cli name = Filename.concat ".." (Filename.concat "tools/lint" name)
-let flow_cli = cli "pftk_flow.exe"
+(* One dirty tree per rule family, each with the tag its report must
+   carry; the R1 fixture's local [Pftk_parallel] stands in for the
+   fan-out API, whose dotted path is what R1 keys on. *)
+let dirty_trees =
+  [
+    ( "R1",
+      "lib/experiments/cli_fixture.ml",
+      "module Pftk_parallel = struct\n\
+      \  let map ~jobs f xs =\n\
+      \    ignore jobs;\n\
+      \    List.map f xs\n\
+       end\n\
+       let burst xs =\n\
+      \  let hits = ref 0 in\n\
+      \  Pftk_parallel.map ~jobs:2 (fun _ -> incr hits) xs\n" );
+    ( "F1",
+      "lib/core/cli_fixture.ml",
+      "let rate_unchecked p = 1. /. sqrt p\n\
+       let rate p = rate_unchecked p\n" );
+    ( "U1",
+      "lib/core/cli_fixture.ml",
+      "let[@pftk.unit \"s -> pkt -> 1\"] bad rtt wnd = rtt +. wnd\n" );
+  ]
 
-(* stdout (findings) and stderr (the clean/summary line, usage errors)
-   are captured separately: the JSON schema test must see the payload
-   alone. *)
-let run_cli exe args =
-  let out = Filename.temp_file "pftk_flow_cli" ".out" in
-  let err = Filename.temp_file "pftk_flow_cli" ".err" in
-  let status =
-    Sys.command (Filename.quote_command exe args ~stdout:out ~stderr:err)
-  in
-  let slurp path =
-    let ic = open_in path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Sys.remove path;
-    text
-  in
-  (status, slurp out, slurp err)
+(* Runs the CLI on [root] once per output format: each run must exit 1
+   and report every rule of [rules] in that format's spelling. *)
+let check_reports root rules =
+  List.iter
+    (fun (format, args, spell) ->
+      let status, out, _ = run_cli (args @ [ root ]) in
+      Alcotest.(check int) (format ^ " run exits 1") 1 status;
+      List.iter
+        (fun rule ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s output reports %s" format rule)
+            true
+            (F.contains_sub out (spell rule)))
+        rules)
+    [
+      ("text", [], Printf.sprintf "[%s]");
+      ("json", [ "--format=json" ], Printf.sprintf {|"rule":"%s"|});
+      ("sarif", [ "--format=sarif" ], Printf.sprintf {|"ruleId": "%s"|});
+    ]
 
 let test_cli () =
-  if not (Sys.file_exists flow_cli) then
-    Alcotest.fail "pftk_flow.exe not found next to the test binary";
-  let dirty = fresh_root () in
-  compile_fixtures dirty
-    [
-      ( "lib/core/cli_fixture.ml",
-        "let rate_unchecked p = 1. /. sqrt p\n\
-         let rate p = rate_unchecked p\n" );
-    ];
-  let status, text, _ = run_cli flow_cli [ dirty ] in
-  Alcotest.(check int) "dirty tree exits 1" 1 status;
-  Alcotest.(check bool) "report carries the rule tag" true
-    (F.contains_sub text "[F1]");
-  let status_json, json, _ = run_cli flow_cli [ "--format=json"; dirty ] in
-  Alcotest.(check int) "json format keeps the exit code" 1 status_json;
-  Alcotest.(check bool) "json mentions the rule" true
-    (F.contains_sub json {|"rule":"F1"|});
+  if not (Sys.file_exists cli) then
+    Alcotest.fail "pftk_analyze.exe not found next to the test binary";
+  List.iter
+    (fun (rule, rel, contents) ->
+      let dirty = fresh_root () in
+      compile_fixtures dirty [ (rel, contents) ];
+      check_reports dirty [ rule ])
+    dirty_trees;
   let clean = fresh_root () in
   compile_fixtures clean [ ("lib/core/cli_clean.ml", "let x = 1\n") ];
-  let status_clean, _, _ = run_cli flow_cli [ clean ] in
+  let status_clean, _, _ = run_cli [ clean ] in
   Alcotest.(check int) "clean tree exits 0" 0 status_clean;
   let empty = fresh_root () in
-  let status_empty, _, err = run_cli flow_cli [ empty ] in
+  let status_empty, _, err = run_cli [ empty ] in
   Alcotest.(check int) "no .cmt files is a usage error (2)" 2 status_empty;
   Alcotest.(check bool) "usage error explains itself" true
-    (F.contains_sub err "no .cmt")
+    (F.contains_sub err "no .cmt");
+  let status_missing, _, missing = run_cli [ clean; "nosuchdir" ] in
+  Alcotest.(check int) "a missing root exits 2" 2 status_missing;
+  Alcotest.(check bool) "and is named" true
+    (F.contains_sub missing "pftk-analyze: no such directory: nosuchdir")
 
-(* --- JSON/SARIF schema shape across all three CLIs --------------------------- *)
+(* An R3, an F1 and a U1 trigger in one tree, one unit each. *)
+let three_family_tree () =
+  let root = fresh_root () in
+  compile_fixtures root
+    [
+      ( "lib/core/race_fixture.ml",
+        "let order (a : float) (b : float) = compare a b\n\
+         let send_rate ~rtt p = 1. /. (rtt *. sqrt p)\n" );
+      ( "lib/core/flow_fixture.ml",
+        "let rate_unchecked p = 1. /. sqrt p\n\
+         let rate p = rate_unchecked p\n\
+         let[@pftk.zero_alloc] pair x = (x, x)\n" );
+      ( "lib/core/units_fixture.ml",
+        "let[@pftk.unit \"s -> pkt -> 1\"] bad rtt wnd = rtt +. wnd\n" );
+    ];
+  root
 
-(* Every analyzer prints findings through [Pftk_findings.pp_findings_json]
-   and [pp_findings_sarif], so the contracts below — a JSON array of
-   objects whose keys appear in the fixed order file, line, col, rule,
-   message, sorted by (file, line, col, rule); and a single-run SARIF
-   2.1.0 log whose results cite rules declared by the driver — are
-   checked once against real output of all three CLIs rather than
-   per-tool. *)
+let test_one_run () = check_reports (three_family_tree ()) [ "R3"; "F1"; "U1" ]
+
+(* --- JSON/SARIF schema shape -------------------------------------------------- *)
+
+(* Every rule family's findings are printed through
+   [Pftk_findings.pp_findings_json] and [pp_findings_sarif], so the
+   contracts below — a JSON array of objects whose keys appear in the
+   fixed order file, line, col, rule, message, sorted by (file, line,
+   col, rule); and a single-run SARIF 2.1.0 log whose results cite rules
+   declared in its rules table — are checked once, on a run that
+   reports all three families. *)
 
 let index_of hay needle =
   let n = String.length needle and h = String.length hay in
@@ -395,8 +356,10 @@ let field_string obj key =
       let j = String.index_from obj start '"' in
       String.sub obj start (j - start)
 
-let check_cli_json ~tool exe args =
-  let status, text, _ = run_cli exe args in
+let tool = "pftk-analyze"
+
+let check_cli_json args =
+  let status, text, _ = run_cli args in
   Alcotest.(check int) (tool ^ " exits 1 on findings") 1 status;
   let objects = json_objects text in
   Alcotest.(check bool) (tool ^ " reports at least one finding") true
@@ -411,8 +374,8 @@ let check_cli_json ~tool exe args =
    named after the tool, each result carrying a ruleId echoed in the
    driver's rules table and a physical location whose startColumn is
    1-based (the JSON format's col is 0-based). *)
-let check_cli_sarif ~tool exe args =
-  let status, text, _ = run_cli exe args in
+let check_cli_sarif args =
+  let status, text, _ = run_cli args in
   Alcotest.(check int) (tool ^ " sarif exits 1 on findings") 1 status;
   let has needle =
     Alcotest.(check bool)
@@ -455,37 +418,10 @@ let check_cli_sarif ~tool exe args =
                true
                (index_of table (Printf.sprintf {|{"id": "%s"}|} rule) <> None))
 
-let check_cli_formats ~tool exe root =
-  check_cli_json ~tool exe [ "--format=json"; root ];
-  check_cli_sarif ~tool exe [ "--format=sarif"; root ]
-
 let test_json_schema_shape () =
-  (* One dirty compiled tree per analyzer, each checked in both machine
-     formats. *)
-  let race_root = fresh_root () in
-  compile_fixtures race_root
-    [
-      ( "lib/core/fixture.ml",
-        "let order (a : float) (b : float) = compare a b\n\
-         let send_rate ~rtt p = 1. /. (rtt *. sqrt p)\n" );
-    ];
-  check_cli_formats ~tool:"pftk-race" (cli "pftk_race.exe") race_root;
-  let flow_root = fresh_root () in
-  compile_fixtures flow_root
-    [
-      ( "lib/core/fixture.ml",
-        "let rate_unchecked p = 1. /. sqrt p\n\
-         let rate p = rate_unchecked p\n\
-         let[@pftk.zero_alloc] pair x = (x, x)\n" );
-    ];
-  check_cli_formats ~tool:"pftk-flow" (cli "pftk_flow.exe") flow_root;
-  let units_root = fresh_root () in
-  compile_fixtures units_root
-    [
-      ( "lib/core/fixture.ml",
-        "let[@pftk.unit \"s -> pkt -> 1\"] bad rtt wnd = rtt +. wnd\n" );
-    ];
-  check_cli_formats ~tool:"pftk-units" (cli "pftk_units.exe") units_root
+  let root = three_family_tree () in
+  check_cli_json [ "--format=json"; root ];
+  check_cli_sarif [ "--format=sarif"; root ]
 
 let () =
   Alcotest.run "pftk_flow"
@@ -506,11 +442,11 @@ let () =
           case "F4 documented sentinel" test_f4_documented;
           case "F4 non-float API untouched" test_f4_non_float_untouched;
           case "F4 lint.allow" test_f4_allow;
-          case "cmt discovery" test_cmt_files;
         ] );
       ( "cli",
         [
           case "exit codes and formats" test_cli;
+          case "one run reports every rule family" test_one_run;
           case "json/sarif schema shape (all CLIs)" test_json_schema_shape;
         ] );
     ]

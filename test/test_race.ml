@@ -1,80 +1,15 @@
-(* Tests for the pftk-race typed analyzer (tools/lint): fixtures are
-   compiled to .cmt/.cmti with the toolchain's own ocamlc (-bin-annot)
-   in a throwaway root laid out like the workspace, then fed to
-   [Pftk_race_engine.analyze_paths].  Triggering fixtures per rule
-   R1-R4, L2, L3 and L5 (and the polymorphic-comparison inputs R3
-   covers), suppressed fixtures for the [@lint.allow] escape hatch, zone
-   checks, a clean fixture, and an end-to-end exit-code check of the
-   pftk_race CLI. *)
+(* Tests for the race rules of pftk-analyze (tools/lint): fixtures are
+   compiled to .cmt/.cmti in a throwaway root laid out like the
+   workspace (Lint_fixture), then fed to [Pftk_race_engine.analyze].
+   Triggering fixtures per rule R1-R4, L2, L3 and L5 (and the
+   polymorphic-comparison inputs R3 covers), suppressed fixtures for
+   the [@lint.allow] escape hatch, zone checks, a clean fixture, and
+   .cmt discovery.  The CLI is tested in test_flow. *)
 
-module Race = Pftk_race_engine
+open Lint_fixture
 module F = Pftk_findings
 
-let case name f = Alcotest.test_case name `Quick f
-let rules fs = List.map (fun (f : F.finding) -> f.F.rule) fs
-
-let check_rules msg expected fs =
-  Alcotest.(check (list string)) msg expected (rules fs)
-
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    Sys.mkdir d 0o755
-  end
-
-(* The compiler that built us: Config.standard_library is
-   <prefix>/lib/ocaml, so ocamlc lives two levels up in <prefix>/bin;
-   fall back to PATH lookup for unusual layouts. *)
-let ocamlc =
-  lazy
-    (let prefix =
-       Filename.dirname (Filename.dirname Config.standard_library)
-     in
-     let candidate =
-       Filename.concat (Filename.concat prefix "bin") "ocamlc"
-     in
-     if Sys.file_exists candidate then candidate else "ocamlc")
-
-let fresh_root () =
-  let root = Filename.temp_file "pftk_race" "" in
-  Sys.remove root;
-  mkdir_p root;
-  root
-
-(* Write each (relative path, contents) fixture under [root] and compile
-   it from [root] so the recorded source file stays workspace-relative
-   ("lib/core/fixture.ml"), which is what the zone rules key on.  A
-   fixture sees the ones listed before it in its directory, and Unix. *)
-let compile_fixtures root fixtures =
-  List.iter
-    (fun (rel, contents) ->
-      let path = Filename.concat root rel in
-      mkdir_p (Filename.dirname path);
-      let oc = open_out path in
-      output_string oc contents;
-      close_out oc)
-    fixtures;
-  let cwd = Sys.getcwd () in
-  Sys.chdir root;
-  let failed =
-    List.exists
-      (fun (rel, _) ->
-        Sys.command
-          (Filename.quote_command (Lazy.force ocamlc)
-             [
-               "-bin-annot"; "-w"; "-a"; "-I"; "+unix"; "-I";
-               Filename.dirname rel; "-c"; rel;
-             ])
-        <> 0)
-      fixtures
-  in
-  Sys.chdir cwd;
-  if failed then Alcotest.fail "fixture did not compile"
-
-let analyze fixtures =
-  let root = fresh_root () in
-  compile_fixtures root fixtures;
-  Race.analyze_paths [ root ]
+let analyze = run Pftk_race_engine.analyze
 
 (* A stand-in for the real fan-out API: the trigger test keys on the
    dotted path [Pftk_parallel.map] / [Pool.submit] at the call site, so
@@ -430,60 +365,6 @@ let test_cmt_files () =
     "one compiled fixture, one cmt" 1
     (List.length (F.Cmt.files [ root ]))
 
-(* --- CLI exit codes ----------------------------------------------------------- *)
-
-(* The test binary runs from _build/default/test, so the CLI (a declared
-   dune dependency) sits next door under tools/lint. *)
-let cli = Filename.concat ".." (Filename.concat "tools/lint" "pftk_race.exe")
-
-let contains hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec go i =
-    i + n <= h && (String.equal (String.sub hay i n) needle || go (i + 1))
-  in
-  go 0
-
-let run_cli args =
-  let out = Filename.temp_file "pftk_race_cli" ".out" in
-  let status =
-    Sys.command (Filename.quote_command cli args ~stdout:out ~stderr:out)
-  in
-  let ic = open_in out in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove out;
-  (status, text)
-
-let test_cli () =
-  if not (Sys.file_exists cli) then
-    Alcotest.fail "pftk_race.exe not found next to the test binary";
-  let dirty = fresh_root () in
-  compile_fixtures dirty
-    [
-      ( "lib/experiments/cli_fixture.ml",
-        parallel_stub
-        ^ "let burst xs =\n\
-          \  let hits = ref 0 in\n\
-          \  Pftk_parallel.map ~jobs:2 (fun _ -> incr hits) xs\n"
-      );
-    ];
-  let status, text = run_cli [ dirty ] in
-  Alcotest.(check int) "dirty tree exits 1" 1 status;
-  Alcotest.(check bool) "report carries the rule tag" true
-    (contains text "[R1]");
-  let status_json, json = run_cli [ "--format=json"; dirty ] in
-  Alcotest.(check int) "json format keeps the exit code" 1 status_json;
-  Alcotest.(check bool) "json mentions the rule" true
-    (contains json {|"rule":"R1"|});
-  let clean = fresh_root () in
-  compile_fixtures clean [ ("lib/core/cli_clean.ml", "let x = 1\n") ];
-  let status_clean, _ = run_cli [ clean ] in
-  Alcotest.(check int) "clean tree exits 0" 0 status_clean;
-  let status_missing, missing = run_cli [ clean; "nosuchdir" ] in
-  Alcotest.(check int) "a missing root exits 2" 2 status_missing;
-  Alcotest.(check bool) "and is named" true
-    (contains missing "pftk-race: no such directory: nosuchdir")
-
 let () =
   Alcotest.run "pftk_race"
     [
@@ -507,5 +388,4 @@ let () =
           case "clean fixture" test_clean;
           case "cmt discovery" test_cmt_files;
         ] );
-      ("cli", [ case "exit codes and formats" test_cli ]);
     ]

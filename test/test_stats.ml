@@ -1,5 +1,5 @@
 (* Tests for pftk_stats: RNG, descriptive statistics, correlation,
-   histograms, regression, error metrics, online accumulators. *)
+   histograms, error metrics, online accumulators. *)
 
 open Pftk_stats
 
@@ -410,31 +410,6 @@ let test_histogram_edges () =
   Alcotest.(check (array (float 1e-9))) "edges" [| 0.; 5.; 10. |]
     (Histogram.bin_edges h)
 
-(* --- Regression ---------------------------------------------------------------- *)
-
-let test_linear_fit_exact () =
-  let x = [| 0.; 1.; 2.; 3. |] in
-  let y = Array.map (fun v -> (3. *. v) -. 1. ) x in
-  let fit = Regression.linear_fit x y in
-  check_float "slope" 3. fit.Regression.slope;
-  check_float "intercept" (-1.) fit.Regression.intercept;
-  check_float "r2" 1. fit.Regression.r_squared
-
-let test_log_log_power_law () =
-  let x = [| 1.; 2.; 4.; 8.; 16. |] in
-  let y = Array.map (fun v -> 5. *. (v ** -0.5)) x in
-  let fit = Regression.log_log_fit x y in
-  check_float ~eps:1e-9 "power-law slope" (-0.5) fit.Regression.slope
-
-let test_predict () =
-  let fit = { Regression.slope = 2.; intercept = 1.; r_squared = 1. } in
-  check_float "predict" 7. (Regression.predict fit 3.)
-
-let test_regression_errors () =
-  Alcotest.check_raises "zero x variance"
-    (Invalid_argument "Regression.linear_fit: x has zero variance") (fun () ->
-      ignore (Regression.linear_fit [| 1.; 1. |] [| 1.; 2. |]))
-
 (* --- Error metrics ---------------------------------------------------------------- *)
 
 let test_average_error () =
@@ -612,13 +587,6 @@ let () =
           case "log bins" test_histogram_log;
           case "normalized" test_histogram_normalized;
           case "edges" test_histogram_edges;
-        ] );
-      ( "regression",
-        [
-          case "exact line" test_linear_fit_exact;
-          case "power law on log-log" test_log_log_power_law;
-          case "predict" test_predict;
-          case "errors" test_regression_errors;
         ] );
       ( "error-metrics",
         [

@@ -1,77 +1,17 @@
-(* Tests for the pftk-units dimensional analyzer (tools/lint): the
-   unit-expression parser, then fixtures compiled to .cmt/.cmti with the
-   toolchain's own ocamlc (-bin-annot) in a throwaway root laid out
-   like the workspace, fed to [Pftk_units_engine.analyze_paths].  One
-   triggering fixture per rule U1-U4 (each proving a nonzero finding
-   count), clean/allow variants, the propagation subtleties the engine
-   promises (literals are polymorphic, [float_of_int] is opaque, * and /
-   compose exponents, casts override), and an end-to-end exit-code check
-   of the pftk_units CLI. *)
+(* Tests for the units rules of pftk-analyze (tools/lint): the
+   unit-expression parser, then fixtures compiled to .cmt/.cmti in a
+   throwaway root laid out like the workspace (Lint_fixture), fed to
+   [Pftk_units_engine.analyze].  One triggering fixture per rule U1-U4
+   (each proving a nonzero finding count), clean/allow variants, and the
+   propagation subtleties the engine promises (literals are
+   polymorphic, [float_of_int] is opaque, * and / compose exponents,
+   casts override).  The CLI is tested in test_flow. *)
 
+open Lint_fixture
 module Units = Pftk_units_engine
 module F = Pftk_findings
 
-let case name f = Alcotest.test_case name `Quick f
-let rules fs = List.map (fun (f : F.finding) -> f.F.rule) fs
-
-let check_rules msg expected fs =
-  Alcotest.(check (list string)) msg expected (rules fs)
-
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    Sys.mkdir d 0o755
-  end
-
-let ocamlc =
-  lazy
-    (let prefix =
-       Filename.dirname (Filename.dirname Config.standard_library)
-     in
-     let candidate =
-       Filename.concat (Filename.concat prefix "bin") "ocamlc"
-     in
-     if Sys.file_exists candidate then candidate else "ocamlc")
-
-let fresh_root () =
-  let root = Filename.temp_file "pftk_units" "" in
-  Sys.remove root;
-  mkdir_p root;
-  root
-
-(* Write each (relative path, contents) fixture under [root] and compile
-   it from [root] so the recorded source file stays workspace-relative,
-   which is what U3's lib/{core,batch,online} zone keys on.  List .mli
-   fixtures before their .ml so interfaces compile first. *)
-let compile_fixtures root fixtures =
-  List.iter
-    (fun (rel, contents) ->
-      let path = Filename.concat root rel in
-      mkdir_p (Filename.dirname path);
-      let oc = open_out path in
-      output_string oc contents;
-      close_out oc)
-    fixtures;
-  let cwd = Sys.getcwd () in
-  Sys.chdir root;
-  let failed =
-    List.exists
-      (fun (rel, _) ->
-        Sys.command
-          (Filename.quote_command (Lazy.force ocamlc)
-             [
-               "-bin-annot"; "-w"; "-a"; "-I"; Filename.dirname rel; "-c"; rel;
-             ])
-        <> 0)
-      fixtures
-  in
-  Sys.chdir cwd;
-  if failed then Alcotest.fail "fixture did not compile"
-
-let analyze fixtures =
-  let root = fresh_root () in
-  compile_fixtures root fixtures;
-  Units.analyze_paths [ root ]
+let analyze = run Units.analyze
 
 (* --- The unit-expression parser ---------------------------------------------- *)
 
@@ -350,56 +290,6 @@ let test_parse_findings () =
          ("lib/core/parse_arity.ml", "let f x _ = x\n");
        ])
 
-(* --- CLI exit codes -------------------------------------------------------------- *)
-
-let cli = Filename.concat ".." (Filename.concat "tools/lint" "pftk_units.exe")
-
-let run_cli exe args =
-  let out = Filename.temp_file "pftk_units_cli" ".out" in
-  let err = Filename.temp_file "pftk_units_cli" ".err" in
-  let status =
-    Sys.command (Filename.quote_command exe args ~stdout:out ~stderr:err)
-  in
-  let slurp path =
-    let ic = open_in path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Sys.remove path;
-    text
-  in
-  (status, slurp out, slurp err)
-
-let test_cli () =
-  if not (Sys.file_exists cli) then
-    Alcotest.fail "pftk_units.exe not found next to the test binary";
-  let dirty = fresh_root () in
-  compile_fixtures dirty
-    [
-      ( "lib/core/cli_fixture.ml",
-        "let[@pftk.unit \"s -> pkt -> 1\"] bad rtt wnd = rtt +. wnd\n" );
-    ];
-  let status, text, _ = run_cli cli [ dirty ] in
-  Alcotest.(check int) "dirty tree exits 1" 1 status;
-  Alcotest.(check bool) "report carries the rule tag" true
-    (F.contains_sub text "[U1]");
-  let status_json, json, _ = run_cli cli [ "--format=json"; dirty ] in
-  Alcotest.(check int) "json format keeps the exit code" 1 status_json;
-  Alcotest.(check bool) "json mentions the rule" true
-    (F.contains_sub json {|"rule":"U1"|});
-  let status_sarif, sarif, _ = run_cli cli [ "--format=sarif"; dirty ] in
-  Alcotest.(check int) "sarif format keeps the exit code" 1 status_sarif;
-  Alcotest.(check bool) "sarif carries the ruleId" true
-    (F.contains_sub sarif {|"ruleId": "U1"|});
-  let clean = fresh_root () in
-  compile_fixtures clean [ ("lib/core/cli_clean.ml", "let x = 1\n") ];
-  let status_clean, _, _ = run_cli cli [ clean ] in
-  Alcotest.(check int) "clean tree exits 0" 0 status_clean;
-  let empty = fresh_root () in
-  let status_empty, _, err = run_cli cli [ empty ] in
-  Alcotest.(check int) "no .cmt files is a usage error (2)" 2 status_empty;
-  Alcotest.(check bool) "usage error explains itself" true
-    (F.contains_sub err "no .cmt")
-
 let () =
   Alcotest.run "pftk_units"
     [
@@ -425,5 +315,4 @@ let () =
           case "U4 lint.allow" test_u4_allow;
           case "parse findings" test_parse_findings;
         ] );
-      ("cli", [ case "exit codes and formats" test_cli ]);
     ]

@@ -3,18 +3,17 @@
 #
 #   1. dune build          -- compiles everything at -warn-error +a
 #                             (lib/ modules without an .mli fail with
-#                             warning 70) and, via the default alias,
-#                             runs the @race (pftk-race, rules R1-R4,
-#                             L2, L3, L5), @flow (pftk-flow, rules
-#                             F1-F4) and @units (pftk-units, rules
-#                             U1-U4) analyzers
-#   2. @flow, @units (timed)
-#                          -- the interprocedural contract analyzer and
-#                             the dimensional-analysis pass, each as its
-#                             own timed phase
+#                             warning 70), links the examples and, via
+#                             the default alias, runs @analyze
+#                             (pftk-analyze: race rules R1-R4, L2, L3,
+#                             L5, flow rules F1-F4, units rules U1-U4)
+#   2. pftk-analyze (timed)
+#                          -- the analyzer executable run directly over
+#                             lib bin examples, so its time is measured
+#                             even when dune has cached @analyze
 #   3. analyzer self-test  -- the deliberately-broken fixtures under
-#                             tools/lint/fixtures must each make their
-#                             analyzer exit 1, and a module without an
+#                             tools/lint/fixtures must each make
+#                             pftk-analyze exit 1, and a module without an
 #                             .mli must fail a build under a copy of
 #                             lib/dune (tools/ci/analyzer_selftest.sh)
 #   4. dune runtest        -- every alcotest/qcheck suite
@@ -94,11 +93,18 @@ phase() {
   say "$(printf '%s: done in %d.%03ds' "$_label" $((_ms / 1000)) $((_ms % 1000)))"
 }
 
-phase "dune build (default alias: compile + @race + @flow + @units)" dune build
+phase "dune build (default alias: compile + examples + @analyze)" dune build
 
-phase "dune build @flow (pftk-flow, rules F1-F4)" dune build @flow
+# The analyzer run directly, from the workspace root: dune skips the
+# @analyze action when nothing changed since the last build, so timing
+# `dune build @analyze` would time only dune's start-up.
+analyze() {
+  (cd "$(dirname "$0")/../.." &&
+    _build/default/tools/lint/pftk_analyze.exe lib bin examples)
+}
 
-phase "dune build @units (pftk-units, rules U1-U4)" dune build @units
+phase "pftk-analyze lib bin examples (rules R1-R4, L2, L3, L5, F1-F4, U1-U4)" \
+  analyze
 
 phase "analyzer self-test (broken fixtures must fail)" \
   sh "$(dirname "$0")/analyzer_selftest.sh"

@@ -1,9 +1,9 @@
-(* Shared plumbing for the in-repo analyzers (pftk-race, pftk-flow,
-   pftk-units): the finding record and its renderings, the path-zone
-   tests, the scoped [@lint.allow "..."] escape hatch, canonical-name
-   helpers for dune's wrapped-library mangling, .cmt/.cmti discovery and
-   loading, and the common CLI protocol (argument parsing, root lookup,
-   --format=json/sarif, exit codes). Each engine keeps only its rules. *)
+(* Shared plumbing for the rule engines of pftk-analyze (race, flow,
+   units): the finding record and its renderings, the path-zone tests,
+   the sink that collects findings under the scoped [@lint.allow "..."]
+   escape hatch, canonical-name helpers for dune's wrapped-library
+   mangling, the Typedtree helpers more than one engine needs, and
+   .cmt/.cmti discovery and loading.  Each engine keeps only its rules. *)
 
 type finding = {
   file : string;
@@ -119,63 +119,76 @@ let under ~root path =
   && (String.sub path 0 (String.length root + 1) = root ^ "/"
      || contains_sub path ("/" ^ root ^ "/"))
 
-(* --- [@lint.allow "..."] -------------------------------------------------- *)
+(* --- Attributes and the findings sink --------------------------------------- *)
+
+let string_payload (a : Parsetree.attribute) =
+  match a.attr_payload with
+  | Parsetree.PStr
+      [
+        {
+          pstr_desc =
+            Pstr_eval
+              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
+          _;
+        };
+      ] ->
+      Some s
+  | _ -> None
 
 let allows_of_attrs attrs =
   List.concat_map
-    (fun a ->
-      if a.Parsetree.attr_name.Location.txt <> "lint.allow" then []
+    (fun (a : Parsetree.attribute) ->
+      if a.attr_name.Location.txt <> "lint.allow" then []
       else
-        match a.Parsetree.attr_payload with
-        | Parsetree.PStr
-            [
-              {
-                pstr_desc =
-                  Pstr_eval
-                    ( {
-                        pexp_desc = Pexp_constant (Pconst_string (s, _, _));
-                        _;
-                      },
-                      _ );
-                _;
-              };
-            ] ->
+        match string_payload a with
+        | Some s ->
             String.split_on_char ' ' s
             |> List.concat_map (String.split_on_char ',')
             |> List.filter (fun r -> r <> "")
-        | _ -> [])
+        | None -> [])
     attrs
 
-module Allow = struct
-  type t = (string, int) Hashtbl.t
+type sink = {
+  allows : (string, int) Hashtbl.t;  (* rules in scope, counted *)
+  mutable found : finding list;
+  mutable quiet : bool;
+}
 
-  let create () : t = Hashtbl.create 4
+let sink () = { allows = Hashtbl.create 4; found = []; quiet = false }
 
-  let push t attrs =
-    let rules = allows_of_attrs attrs in
-    List.iter
-      (fun r ->
-        let n = Option.value ~default:0 (Hashtbl.find_opt t r) in
-        Hashtbl.replace t r (n + 1))
-      rules;
+let push t attrs =
+  let rules = allows_of_attrs attrs in
+  List.iter
+    (fun r ->
+      let n = Option.value ~default:0 (Hashtbl.find_opt t.allows r) in
+      Hashtbl.replace t.allows r (n + 1))
+    rules;
+  rules
+
+let push_expr t (e : Typedtree.expression) =
+  push t
+    (e.exp_attributes
+    @ List.concat_map (fun (_, _, attrs) -> attrs) e.exp_extra)
+
+let pop t rules =
+  List.iter
+    (fun r ->
+      match Hashtbl.find_opt t.allows r with
+      | Some n when n > 1 -> Hashtbl.replace t.allows r (n - 1)
+      | Some _ -> Hashtbl.remove t.allows r
+      | None -> ())
     rules
 
-  let push_expr t (e : Typedtree.expression) =
-    push t
-      (e.exp_attributes
-      @ List.concat_map (fun (_, _, attrs) -> attrs) e.exp_extra)
+let report t ~file loc rule message =
+  if not (t.quiet || Hashtbl.mem t.allows rule) then
+    t.found <- finding_of_loc ~file loc rule message :: t.found
 
-  let pop t rules =
-    List.iter
-      (fun r ->
-        match Hashtbl.find_opt t r with
-        | Some n when n > 1 -> Hashtbl.replace t r (n - 1)
-        | Some _ -> Hashtbl.remove t r
-        | None -> ())
-      rules
+let quietly t f =
+  t.quiet <- true;
+  f ();
+  t.quiet <- false
 
-  let active t rule = Hashtbl.mem t rule
-end
+let findings t = List.sort_uniq compare_findings t.found
 
 (* --- Canonical names ------------------------------------------------------- *)
 
@@ -200,6 +213,97 @@ let split_canonical name = String.split_on_char '.' (canonical name)
 let strip_stdlib = function
   | "Stdlib" :: (_ :: _ as rest) -> rest
   | parts -> parts
+
+let path_key = function
+  | Path.Pident id -> Ident.name id
+  | p -> canonical (Path.name p)
+
+let scoped_names ~scope base =
+  let drop_last l = List.rev (List.tl (List.rev l)) in
+  let rec go scope acc =
+    let acc = String.concat "." (scope @ [ base ]) :: acc in
+    match scope with [] -> acc | _ -> go (drop_last scope) acc
+  in
+  List.rev (go scope [])
+
+(* --- Typedtree helpers ------------------------------------------------------ *)
+
+open Typedtree
+
+let is_float ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [], _) -> String.equal (Path.name p) "float"
+  | _ -> false
+
+let rec mentions_float ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (_, a, b, _) -> mentions_float a || mentions_float b
+  | Types.Ttuple tys -> List.exists mentions_float tys
+  | Types.Tpoly (t, _) -> mentions_float t
+  | Types.Tconstr (p, args, _) ->
+      (match String.concat "." (strip_stdlib (split_canonical (Path.name p)))
+       with
+      | "float" | "floatarray" | "Float.Array.t" -> true
+      | _ -> false)
+      || List.exists mentions_float args
+  | _ -> false
+
+let is_unchecked name =
+  let suffix = "_unchecked" in
+  let n = String.length name and s = String.length suffix in
+  n >= s && String.equal (String.sub name (n - s) s) suffix
+
+let is_guard_call e =
+  match e.exp_desc with
+  | Texp_apply (fn, _) -> (
+      match fn.exp_desc with
+      | Texp_ident (p, _, _) -> (
+          match List.rev (split_canonical (Path.name p)) with
+          | last :: _ ->
+              String.equal last "validate"
+              || (String.length last >= 5 && String.sub last 0 5 = "check")
+          | [] -> false)
+      | _ -> false)
+  | _ -> false
+
+let rec module_structure me =
+  match me.mod_desc with
+  | Tmod_structure s -> Some s
+  | Tmod_constraint (me, _, _, _) -> module_structure me
+  | _ -> None
+
+let rec iter_structure ?(value = fun ~scope:_ _ -> ())
+    ?(types = fun ~scope:_ _ -> ()) ~scope (str : structure) =
+  let sub mb =
+    match (mb.mb_name.Location.txt, module_structure mb.mb_expr) with
+    | Some name, Some s ->
+        iter_structure ~value ~types ~scope:(scope @ [ name ]) s
+    | _ -> ()
+  in
+  List.iter
+    (fun (item : structure_item) ->
+      match item.str_desc with
+      | Tstr_value (_, vbs) -> List.iter (value ~scope) vbs
+      | Tstr_type (_, tds) -> List.iter (types ~scope) tds
+      | Tstr_module mb -> sub mb
+      | Tstr_recmodule mbs -> List.iter sub mbs
+      | _ -> ())
+    str.str_items
+
+let rec iter_signature ?(value = fun ~scope:_ _ -> ())
+    ?(types = fun ~scope:_ _ -> ()) ~scope (sg : signature) =
+  List.iter
+    (fun (item : signature_item) ->
+      match item.sig_desc with
+      | Tsig_value vd -> value ~scope vd
+      | Tsig_type (_, tds) -> List.iter (types ~scope) tds
+      | Tsig_module md -> (
+          match (md.md_name.Location.txt, md.md_type.mty_desc) with
+          | Some name, Tmty_signature s ->
+              iter_signature ~value ~types ~scope:(scope @ [ name ]) s
+          | _ -> ())
+      | _ -> ())
+    sg.sig_items
 
 (* --- .cmt / .cmti loading -------------------------------------------------- *)
 
@@ -244,61 +348,4 @@ module Cmt = struct
             u_src = src;
             u_annots = cmt.Cmt_format.cmt_annots;
           }
-
-  let load_all paths = List.filter_map load (files paths)
 end
-
-(* --- CLI protocol ---------------------------------------------------------- *)
-
-let run_cli ~tool ~analyze =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let json = List.mem "--format=json" args in
-  let sarif = List.mem "--format=sarif" args in
-  let fail message =
-    Printf.eprintf "%s: %s\n" tool message;
-    exit 2
-  in
-  List.iter
-    (fun a ->
-      if
-        String.length a >= 2
-        && String.sub a 0 2 = "--"
-        && a <> "--format=json" && a <> "--format=sarif"
-        && a <> "--format=text"
-      then fail ("unknown option " ^ a))
-    args;
-  let roots =
-    match
-      List.filter
-        (fun a -> not (String.length a >= 2 && String.sub a 0 2 = "--"))
-        args
-    with
-    | [] -> [ "lib"; "bin"; "examples" ]
-    | roots -> roots
-  in
-  let paths =
-    List.concat_map
-      (fun r ->
-        let built = Filename.concat (Filename.concat "_build" "default") r in
-        match List.filter Sys.file_exists [ r; built ] with
-        | [] -> fail ("no such directory: " ^ r)
-        | found -> found)
-      roots
-  in
-  let units = List.length (Cmt.files paths) in
-  if units = 0 then
-    fail
-      (Printf.sprintf
-         "no .cmt/.cmti files under %s (run `dune build @check` first)"
-         (String.concat " " roots));
-  let findings = analyze paths in
-  if sarif then Format.printf "%a@." (pp_findings_sarif ~tool) findings
-  else if json then Format.printf "%a@." pp_findings_json findings
-  else List.iter (Format.printf "%a@." pp_finding) findings;
-  match findings with
-  | [] ->
-      Printf.eprintf "%s: clean (%d compilation units)\n" tool units;
-      exit 0
-  | _ :: _ ->
-      Printf.eprintf "%s: %d finding(s)\n" tool (List.length findings);
-      exit 1

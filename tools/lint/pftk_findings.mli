@@ -1,11 +1,12 @@
-(** Shared plumbing for the three in-repo analyzers — pftk-race (typed
-    rules R1–R4, L2, L3, L5), pftk-flow (interprocedural rules F1–F4)
-    and pftk-units (dimensional rules U1–U4).  Everything the engines
-    have in common lives here so each engine file carries only its
-    rules: the finding record with its text and JSON renderings,
-    path-zone tests, the scoped [[@lint.allow "..."]] escape hatch,
-    canonical-name helpers for dune's wrapped-library name mangling,
-    [.cmt]/[.cmti] discovery/loading, and the common CLI protocol. *)
+(** Shared plumbing for the three rule engines of pftk-analyze — race
+    (typed rules R1–R4, L2, L3, L5), flow (interprocedural rules F1–F4)
+    and units (dimensional rules U1–U4).  Everything the engines have in
+    common lives here so each engine file carries only its rules: the
+    finding record with its text, JSON and SARIF renderings, path-zone
+    tests, the sink that collects findings under the scoped
+    [[@lint.allow "..."]] escape hatch, canonical-name helpers for dune's
+    wrapped-library name mangling, the Typedtree helpers more than one
+    engine uses, and [.cmt]/[.cmti] discovery and loading. *)
 
 type finding = {
   file : string;
@@ -16,6 +17,9 @@ type finding = {
           "parse" *)
   message : string;
 }
+
+val pp_finding : Format.formatter -> finding -> unit
+(** [file:line:col [rule] message], the text report's line. *)
 
 val pp_findings_json : Format.formatter -> finding list -> unit
 (** Renders the findings as a JSON array, one object per finding with
@@ -32,10 +36,6 @@ val pp_findings_sarif : tool:string -> Format.formatter -> finding list -> unit
 val compare_findings : finding -> finding -> int
 (** Orders by file, then line, then column, then rule, then message. *)
 
-val finding_of_loc : file:string -> Location.t -> string -> string -> finding
-(** [finding_of_loc ~file loc rule message]: a finding at [loc]'s start
-    position. *)
-
 val contains_sub : string -> string -> bool
 (** [contains_sub s sub]: does [s] contain [sub]? *)
 
@@ -43,28 +43,45 @@ val under : root:string -> string -> bool
 (** [under ~root path]: is [path] inside directory [root], whether given
     workspace-relative or absolute? Shared zone test for all engines. *)
 
-(** Scoped suppression bookkeeping: a counting multiset of the rules
-    currently allowed. Engines [push] on entering an attributed node and
-    [pop] with the returned list on the way out. A [[@lint.allow "..."]]
+val string_payload : Parsetree.attribute -> string option
+(** The string of an attribute written [[@name "..."]]; [None] for any
+    other payload. *)
+
+(** {2 The findings sink}
+
+    One per engine run.  Engines [push] the [[@lint.allow "..."]] rules
+    of a node's attributes on entering it and [pop] the returned list on
+    the way out; [report] drops a finding whose rule is in scope.  An
     attribute lists rule names separated by spaces or commas. *)
-module Allow : sig
-  type t
 
-  val create : unit -> t
+type sink
 
-  val push : t -> Parsetree.attributes -> string list
-  (** The allows of a binding's or declaration's attributes. *)
+val sink : unit -> sink
 
-  val push_expr : t -> Typedtree.expression -> string list
-  (** The allows of an expression: its own attributes and those the
-      typer moved into [exp_extra], where an attribute on a constrained
-      or coerced expression ([(e : t) [@lint.allow "R3"]]) lands. *)
+val push : sink -> Parsetree.attributes -> string list
+(** Brings the allows of a binding's or declaration's attributes into
+    scope and returns them. *)
 
-  val pop : t -> string list -> unit
+val push_expr : sink -> Typedtree.expression -> string list
+(** The allows of an expression: its own attributes and those the typer
+    moved into [exp_extra], where an attribute on a constrained or
+    coerced expression ([(e : t) [@lint.allow "R3"]]) lands. *)
 
-  val active : t -> string -> bool
-  (** Is a [[@lint.allow rule]] in scope? *)
-end
+val pop : sink -> string list -> unit
+
+val report : sink -> file:string -> Location.t -> string -> string -> unit
+(** [report t ~file loc rule message] records a finding at [loc]'s start
+    unless a [[@lint.allow rule]] is in scope or the sink is quiet. *)
+
+val quietly : sink -> (unit -> unit) -> unit
+(** Runs the function with reporting off (the units engine's inference
+    fixpoint walks bodies it checks again afterwards). *)
+
+val findings : sink -> finding list
+(** Everything reported, sorted by [compare_findings] and
+    deduplicated. *)
+
+(** {2 Names} *)
 
 val canonical : string -> string
 (** dune mangles wrapped-library module names as [Pftk_core__Params];
@@ -79,7 +96,53 @@ val strip_stdlib : string list -> string list
 (** Drops a leading ["Stdlib"] component so [Stdlib.compare] and
     [compare] look alike. *)
 
-(** [.cmt]/[.cmti] discovery and loading for the typed engines. *)
+val path_key : Path.t -> string
+(** A local identifier's own name, any other path's [canonical] name. *)
+
+val scoped_names : scope:string list -> string -> string list
+(** The dotted names a reference to [base] made inside [scope] (a unit
+    and its nested modules) may resolve to, longest scope first: [base]
+    qualified by each shorter prefix of [scope], so sibling references
+    ([Pident], nested-module locals) and wrapper-qualified cross-module
+    paths land on the same keys. *)
+
+(** {2 Typedtree helpers} *)
+
+val is_float : Types.type_expr -> bool
+(** Is the type [float] itself? *)
+
+val mentions_float : Types.type_expr -> bool
+(** Does [float], [floatarray] or [Float.Array.t] appear anywhere in
+    the type expression (arrows, tuples and type arguments included)? *)
+
+val is_unchecked : string -> bool
+(** The validated-input naming convention: does the name end in
+    [_unchecked]? *)
+
+val is_guard_call : Typedtree.expression -> bool
+(** An application of a [check*]- or [validate]-named function, the
+    domain-guard call R4 and F1 recognize. *)
+
+val iter_structure :
+  ?value:(scope:string list -> Typedtree.value_binding -> unit) ->
+  ?types:(scope:string list -> Typedtree.type_declaration -> unit) ->
+  scope:string list ->
+  Typedtree.structure ->
+  unit
+(** Calls [value] on every value binding and [types] on every type
+    declaration of the structure and of its named submodules (through
+    constraints), with [scope] extended by each module's name. *)
+
+val iter_signature :
+  ?value:(scope:string list -> Typedtree.value_description -> unit) ->
+  ?types:(scope:string list -> Typedtree.type_declaration -> unit) ->
+  scope:string list ->
+  Typedtree.signature ->
+  unit
+(** The same walk over an interface: [val] items, type declarations and
+    named submodule signatures. *)
+
+(** [.cmt]/[.cmti] discovery and loading. *)
 module Cmt : sig
   type unit_info = {
     u_name : string;  (** canonical unit name *)
@@ -95,18 +158,4 @@ module Cmt : sig
 
   val load : string -> unit_info option
   (** One file; [None] if unreadable. *)
-
-  val load_all : string list -> unit_info list
-  (** [load] over [files], dropping unreadable entries. *)
 end
-
-val run_cli : tool:string -> analyze:(string list -> finding list) -> unit
-(** The CLI protocol shared by all three tools: positional arguments are
-    roots (default: [lib bin examples]), [--format=json] switches the
-    report to JSON and [--format=sarif] to SARIF 2.1.0, any other [--]
-    option errors with exit 2.  Each root is looked up both as given and
-    under [_build/default], so the tools work from the build context
-    (dune alias rules) and from the source root (developers); a root
-    found in neither place ("tool: no such directory: ROOT"), or roots
-    holding no [.cmt]/[.cmti] file, exit 2.  [analyze] maps the found
-    paths to findings.  Exits 0 when clean, 1 on findings. *)

@@ -1,10 +1,11 @@
-(* pftk-flow: interprocedural contract analysis over the .cmt files dune
-   emits.  Where pftk-race checks properties one function at a time,
-   this engine first builds a table of every toplevel binding in the run
-   (pass 1), scans each body once for raise sites, callee references and
-   NaN mentions (pass 1b), closes may-raise and returns-NaN over the
-   cross-module call graph (fixpoints), then re-walks the bodies
-   enforcing F1-F4 (pass 2).  See the .mli for the rule definitions. *)
+(* The flow rules of pftk-analyze: interprocedural contract analysis
+   over the loaded .cmt units.  Where the race rules check properties
+   one function at a time, this engine first builds a table of every
+   toplevel binding in the run (pass 1), scans each body once for raise
+   sites, callee references and NaN mentions (pass 1b), closes
+   may-raise and returns-NaN over the cross-module call graph
+   (fixpoints), then re-walks the bodies enforcing F1-F4 (pass 2).  See
+   the .mli for the rule definitions. *)
 
 open Typedtree
 module F = Pftk_findings
@@ -16,11 +17,6 @@ let path_last p =
   match List.rev (strip_stdlib (split_canonical (Path.name p))) with
   | last :: _ -> last
   | [] -> ""
-
-let is_unchecked name =
-  let suffix = "_unchecked" in
-  let n = String.length name and s = String.length suffix in
-  n >= s && String.equal (String.sub name (n - s) s) suffix
 
 let has_zero_alloc attrs =
   List.exists
@@ -37,29 +33,6 @@ let is_nan_ident p =
 
 let is_arrow ty =
   match Types.get_desc ty with Types.Tarrow _ -> true | _ -> false
-
-(* Can this signature carry the NaN sentinel out?  A float (or float
-   array) must be spelled somewhere in the arrow's own type expression;
-   reports, case records and other opaque constructors do not count even
-   if NaN-carrying floats hide inside them — F4 audits the sentinel
-   discipline of numeric APIs, not data plumbing. *)
-let rec mentions_float ty =
-  match Types.get_desc ty with
-  | Types.Tarrow (_, a, b, _) -> mentions_float a || mentions_float b
-  | Types.Ttuple tys -> List.exists mentions_float tys
-  | Types.Tpoly (t, _) -> mentions_float t
-  | Types.Tconstr (p, args, _) ->
-      (match String.concat "." (strip_stdlib (split_canonical (Path.name p)))
-       with
-      | "float" | "floatarray" | "Float.Array.t" -> true
-      | _ -> false)
-      || List.exists mentions_float args
-  | _ -> false
-
-let is_float ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, [], _) -> String.equal (Path.name p) "float"
-  | _ -> false
 
 (* --- Run state ------------------------------------------------------------- *)
 
@@ -81,33 +54,12 @@ type fn_info = {
 type state = {
   fns : (string, fn_info) Hashtbl.t;
   mutable order : fn_info list;  (* registration order, for the fixpoints *)
-  mutable findings : F.finding list;
-  allows : F.Allow.t;
+  sink : F.sink;
 }
 
-let push st attrs = F.Allow.push st.allows attrs
-let pop st rules = F.Allow.pop st.allows rules
-
-let report st ~file (loc : Location.t) rule message =
-  if not (F.Allow.active st.allows rule) then
-    st.findings <- F.finding_of_loc ~file loc rule message :: st.findings
-
-(* Resolve a reference made inside [scope] to a registered binding: try
-   the path name qualified by progressively shorter prefixes of the
-   scope, so sibling references ([Pident], nested-module locals) and
-   wrapper-qualified cross-module paths all land on the same keys. *)
+(* A reference made inside [scope], resolved to a registered binding. *)
 let resolve st ~scope p =
-  let base =
-    match p with
-    | Path.Pident id -> Ident.name id
-    | _ -> F.canonical (Path.name p)
-  in
-  let drop_last l = List.rev (List.tl (List.rev l)) in
-  let rec go scope acc =
-    let acc = String.concat "." (scope @ [ base ]) :: acc in
-    match scope with [] -> acc | _ -> go (drop_last scope) acc
-  in
-  List.find_map (Hashtbl.find_opt st.fns) (List.rev (go scope []))
+  List.find_map (Hashtbl.find_opt st.fns) (F.scoped_names ~scope (F.path_key p))
 
 (* --- Pass 1: registration --------------------------------------------------- *)
 
@@ -122,7 +74,7 @@ let register_binding st ~file ~scope vb =
           fn_file = file;
           fn_attrs = vb.vb_attributes;
           fn_zero_alloc = has_zero_alloc vb.vb_attributes;
-          fn_unchecked = is_unchecked (Ident.name id);
+          fn_unchecked = F.is_unchecked (Ident.name id);
           fn_expr = vb.vb_expr;
           fn_refs = [];
           fn_direct_raise = false;
@@ -133,27 +85,6 @@ let register_binding st ~file ~scope vb =
       in
       Hashtbl.replace st.fns name fn;
       st.order <- fn :: st.order
-  | _ -> ()
-
-let rec module_structure me =
-  match me.mod_desc with
-  | Tmod_structure s -> Some s
-  | Tmod_constraint (me, _, _, _) -> module_structure me
-  | _ -> None
-
-let rec register_structure st ~file ~scope (str : structure) =
-  List.iter
-    (fun (item : structure_item) ->
-      match item.str_desc with
-      | Tstr_value (_, vbs) -> List.iter (register_binding st ~file ~scope) vbs
-      | Tstr_module mb -> register_module st ~file ~scope mb
-      | Tstr_recmodule mbs -> List.iter (register_module st ~file ~scope) mbs
-      | _ -> ())
-    str.str_items
-
-and register_module st ~file ~scope mb =
-  match (mb.mb_name.Location.txt, module_structure mb.mb_expr) with
-  | Some name, Some s -> register_structure st ~file ~scope:(scope @ [ name ]) s
   | _ -> ()
 
 (* --- Pass 1b: per-function scan ---------------------------------------------
@@ -246,25 +177,12 @@ let rec is_raising e =
   | Texp_let (_, _, body) -> is_raising body
   | _ -> false
 
-let is_guard_call e =
-  match e.exp_desc with
-  | Texp_apply (fn, _) -> (
-      match fn.exp_desc with
-      | Texp_ident (p, _, _) -> (
-          match List.rev (split_canonical (Path.name p)) with
-          | last :: _ ->
-              String.equal last "validate"
-              || (String.length last >= 5 && String.sub last 0 5 = "check")
-          | [] -> false)
-      | _ -> false)
-  | _ -> false
-
 (* Does evaluating [e] establish "inputs are domain-checked"?  A
    [check*]/[validate] call, a conditional (or match) with a raising
    branch, a raising statement (everything after it is dead), or a
    sequence/let whose prefix contains one. *)
 let rec establishes_guard e =
-  is_guard_call e || is_raising e
+  F.is_guard_call e || is_raising e
   ||
   match e.exp_desc with
   | Texp_ifthenelse (_, th, el) ->
@@ -280,11 +198,11 @@ let rec establishes_guard e =
 (* --- F1: guard domination for _unchecked call sites ------------------------- *)
 
 let rec f1_walk st fn guarded e =
-  let rs = F.Allow.push_expr st.allows e in
+  let rs = F.push_expr st.sink e in
   (match e.exp_desc with
-  | Texp_ident (p, _, _) when is_unchecked (Path.last p) ->
+  | Texp_ident (p, _, _) when F.is_unchecked (Path.last p) ->
       if not guarded then
-        report st ~file:fn.fn_file e.exp_loc "F1"
+        F.report st.sink ~file:fn.fn_file e.exp_loc "F1"
           (Printf.sprintf
              "call site of '%s' in '%s' is not dominated by a domain guard \
               (expected a check*/validate call or a raising conditional \
@@ -299,14 +217,14 @@ let rec f1_walk st fn guarded e =
   | Texp_let (_, vbs, body) ->
       List.iter
         (fun vb ->
-          let vrs = push st vb.vb_attributes in
+          let vrs = F.push st.sink vb.vb_attributes in
           let exempt =
             match vb.vb_pat.pat_desc with
-            | Tpat_var (id, _) -> is_unchecked (Ident.name id)
+            | Tpat_var (id, _) -> F.is_unchecked (Ident.name id)
             | _ -> false
           in
           f1_walk st fn (guarded || exempt) vb.vb_expr;
-          pop st vrs)
+          F.pop st.sink vrs)
         vbs;
       f1_walk st fn
         (guarded || List.exists (fun vb -> establishes_guard vb.vb_expr) vbs)
@@ -330,7 +248,7 @@ let rec f1_walk st fn guarded e =
       let super = Tast_iterator.default_iterator in
       let it = { super with expr = (fun _ e -> f1_walk st fn guarded e) } in
       super.expr it e);
-  pop st rs
+  F.pop st.sink rs
 
 (* --- F2: allocation-freedom of [@pftk.zero_alloc] bodies -------------------- *)
 
@@ -344,11 +262,11 @@ let rec f2_spine st fn e =
   | _ -> f2_walk st fn e
 
 and f2_walk st fn e =
-  let rs = F.Allow.push_expr st.allows e in
+  let rs = F.push_expr st.sink e in
   let bad fmt =
     Printf.ksprintf
       (fun msg ->
-        report st ~file:fn.fn_file e.exp_loc "F2"
+        F.report st.sink ~file:fn.fn_file e.exp_loc "F2"
           (Printf.sprintf "[@pftk.zero_alloc] '%s': %s" fn.fn_name msg))
       fmt
   in
@@ -380,7 +298,7 @@ and f2_walk st fn e =
       bad "lazy construction allocates";
       children ()
   | Texp_setfield (_, _, lbl, _) ->
-      (if is_float lbl.Types.lbl_arg then
+      (if F.is_float lbl.Types.lbl_arg then
          match lbl.Types.lbl_repres with
          | Types.Record_float | Types.Record_unboxed _ -> ()
          | Types.Record_regular | Types.Record_inlined _
@@ -421,7 +339,7 @@ and f2_walk st fn e =
           match arg with Some a -> f2_walk st fn a | None -> ())
         args
   | _ -> children ());
-  pop st rs
+  F.pop st.sink rs
 
 (* --- F3: exception escape from contract bodies ------------------------------- *)
 
@@ -438,14 +356,14 @@ let raise_why st name =
   | _ -> "it can raise"
 
 let rec f3_walk st fn e =
-  let rs = F.Allow.push_expr st.allows e in
+  let rs = F.push_expr st.sink e in
   (match e.exp_desc with
   | Texp_try (_, handlers) ->
       (* The body's exceptions are handled right here; only the
          handlers can let one escape. *)
       List.iter (fun c -> f3_walk st fn c.c_rhs) handlers
   | Texp_assert (cond, _) ->
-      report st ~file:fn.fn_file e.exp_loc "F3"
+      F.report st.sink ~file:fn.fn_file e.exp_loc "F3"
         (Printf.sprintf
            "assert inside '%s' (%s) can raise Assert_failure; kernels signal \
             via the NaN sentinel, never exceptions"
@@ -453,7 +371,7 @@ let rec f3_walk st fn e =
       f3_walk st fn cond
   | Texp_ident (p, _, _) ->
       if is_raising_prim p then
-        report st ~file:fn.fn_file e.exp_loc "F3"
+        F.report st.sink ~file:fn.fn_file e.exp_loc "F3"
           (Printf.sprintf
              "'%s' inside '%s' (%s); kernels signal via the NaN sentinel, \
               never exceptions"
@@ -462,7 +380,7 @@ let rec f3_walk st fn e =
         match resolve st ~scope:fn.fn_scope p with
         | Some c when c.fn_may_raise && not (String.equal c.fn_name fn.fn_name)
           ->
-            report st ~file:fn.fn_file e.exp_loc "F3"
+            F.report st.sink ~file:fn.fn_file e.exp_loc "F3"
               (Printf.sprintf
                  "'%s' (%s) calls '%s', which can raise (%s); kernels signal \
                   via the NaN sentinel, never exceptions"
@@ -473,7 +391,7 @@ let rec f3_walk st fn e =
       let super = Tast_iterator.default_iterator in
       let it = { super with expr = (fun _ e -> f3_walk st fn e) } in
       super.expr it e);
-  pop st rs
+  F.pop st.sink rs
 
 (* --- F4: NaN sentinel documented in the interface ---------------------------- *)
 
@@ -481,75 +399,44 @@ let doc_of_attrs attrs =
   List.filter_map
     (fun (a : Parsetree.attribute) ->
       match a.attr_name.Location.txt with
-      | "ocaml.doc" | "doc" | "ocaml.text" -> (
-          match a.attr_payload with
-          | Parsetree.PStr
-              [
-                {
-                  pstr_desc =
-                    Pstr_eval
-                      ( {
-                          pexp_desc =
-                            Pexp_constant (Pconst_string (s, _, _));
-                          _;
-                        },
-                        _ );
-                  _;
-                };
-              ] ->
-              Some s
-          | _ -> None)
+      | "ocaml.doc" | "doc" | "ocaml.text" -> F.string_payload a
       | _ -> None)
     attrs
   |> String.concat "\n"
 
-let rec f4_signature st ~file ~scope (sg : signature) =
-  List.iter
-    (fun (item : signature_item) ->
-      match item.sig_desc with
-      | Tsig_value vd ->
-          let rs = push st vd.val_attributes in
-          let name = String.concat "." (scope @ [ Ident.name vd.val_id ]) in
-          (match Hashtbl.find_opt st.fns name with
-          | Some fn
-            when fn.fn_nan
-                 && is_arrow vd.val_val.Types.val_type
-                 && mentions_float vd.val_val.Types.val_type
-                 && not (F.contains_sub (doc_of_attrs vd.val_attributes) "NaN")
-            ->
-              report st ~file vd.val_loc "F4"
-                (Printf.sprintf
-                   "'%s' can return the NaN sentinel but its interface doc \
-                    does not say \"NaN\"; document the sentinel so callers \
-                    know rejection is in-band"
-                   (Ident.name vd.val_id))
-          | _ -> ());
-          pop st rs
-      | Tsig_module md -> (
-          match (md.md_name.Location.txt, md.md_type.mty_desc) with
-          | Some name, Tmty_signature s ->
-              f4_signature st ~file ~scope:(scope @ [ name ]) s
-          | _ -> ())
-      | _ -> ())
-    sg.sig_items
+(* A float (or float array) must be spelled somewhere in the arrow's own
+   type expression; reports, case records and other opaque constructors
+   do not count even if NaN-carrying floats hide inside them — F4 audits
+   the sentinel discipline of numeric APIs, not data plumbing. *)
+let f4_value st ~file ~scope vd =
+  let rs = F.push st.sink vd.val_attributes in
+  let name = String.concat "." (scope @ [ Ident.name vd.val_id ]) in
+  (match Hashtbl.find_opt st.fns name with
+  | Some fn
+    when fn.fn_nan
+         && is_arrow vd.val_val.Types.val_type
+         && F.mentions_float vd.val_val.Types.val_type
+         && not (F.contains_sub (doc_of_attrs vd.val_attributes) "NaN") ->
+      F.report st.sink ~file vd.val_loc "F4"
+        (Printf.sprintf
+           "'%s' can return the NaN sentinel but its interface doc does not \
+            say \"NaN\"; document the sentinel so callers know rejection is \
+            in-band"
+           (Ident.name vd.val_id))
+  | _ -> ());
+  F.pop st.sink rs
 
 (* --- Driver ------------------------------------------------------------------ *)
 
-let analyze_paths paths =
-  let st =
-    {
-      fns = Hashtbl.create 512;
-      order = [];
-      findings = [];
-      allows = F.Allow.create ();
-    }
-  in
-  let units = F.Cmt.load_all paths in
+let analyze units =
+  let st = { fns = Hashtbl.create 512; order = []; sink = F.sink () } in
   List.iter
     (fun (u : F.Cmt.unit_info) ->
       match u.u_annots with
       | Cmt_format.Implementation str ->
-          register_structure st ~file:u.u_src ~scope:[ u.u_name ] str
+          F.iter_structure ~scope:[ u.u_name ]
+            ~value:(register_binding st ~file:u.u_src)
+            str
       | _ -> ())
     units;
   let fns = List.rev st.order in
@@ -557,17 +444,18 @@ let analyze_paths paths =
   fixpoints st;
   List.iter
     (fun fn ->
-      let rs = push st fn.fn_attrs in
+      let rs = F.push st.sink fn.fn_attrs in
       if not fn.fn_unchecked then f1_walk st fn false fn.fn_expr;
       if fn.fn_zero_alloc then f2_spine st fn fn.fn_expr;
       if fn.fn_zero_alloc || fn.fn_unchecked then f3_walk st fn fn.fn_expr;
-      pop st rs)
+      F.pop st.sink rs)
     fns;
   List.iter
     (fun (u : F.Cmt.unit_info) ->
       match u.u_annots with
       | Cmt_format.Interface sg when F.under ~root:"lib" u.u_src ->
-          f4_signature st ~file:u.u_src ~scope:[ u.u_name ] sg
+          F.iter_signature ~scope:[ u.u_name ] ~value:(f4_value st ~file:u.u_src)
+            sg
       | _ -> ())
     units;
-  List.sort_uniq F.compare_findings st.findings
+  F.findings st.sink

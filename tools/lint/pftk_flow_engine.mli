@@ -1,7 +1,6 @@
-(** Interprocedural contract analysis over the [.cmt] files dune emits
-    ([dune build @check] produces them as a side effect of every build).
-    Where pftk-race (R1–R4) checks each function in isolation, this
-    engine builds a cross-module call graph of every toplevel binding in
+(** The flow rules of pftk-analyze: interprocedural contract analysis
+    over the loaded [.cmt] units.  Where the race rules (R1–R4) check
+    each function in isolation, this engine builds a cross-module call graph of every toplevel binding in
     the run and enforces the contracts the [_unchecked] kernel
     convention and the batch engine's zero-allocation discipline rest
     on:
@@ -40,17 +39,13 @@
       "NaN" in its [.mli] doc comment — a pinned substring check, so
       sentinel discipline stays auditable at the interface.
 
-    Findings use the shared pftk-findings format and honour the same
-    scoped [[@lint.allow "F1"]] escape hatch on expressions (constrained
-    ones included), value bindings and (for F4) interface declarations.
+    Findings honour the same scoped [[@lint.allow "F1"]] escape hatch
+    as the other rules, on expressions (constrained ones included),
+    value bindings and (for F4) interface declarations.  Each run builds
+    its own function table and call graph. *)
 
-    The analyzer keeps run-wide state (the function table and call
-    graph); it is not thread-safe. *)
-
-val analyze_paths : string list -> Pftk_findings.finding list
-(** [analyze_paths paths] loads every [.cmt]/[.cmti] found under the
-    given paths (directories walked recursively, including the
-    dot-directories dune hides object files in; plain file paths are
-    taken as-is), builds the cross-module function table and call
-    graph, closes may-raise and returns-NaN over it, then runs F1–F4.
-    Findings are sorted by file, then position, and deduplicated. *)
+val analyze : Pftk_findings.Cmt.unit_info list -> Pftk_findings.finding list
+(** [analyze units] builds the cross-module function table and call
+    graph of the units, closes may-raise and returns-NaN over it, then
+    runs F1–F4.  Findings are sorted by file, then position, and
+    deduplicated. *)

@@ -1,9 +1,8 @@
-(* pftk-race: typed analysis over the .cmt/.cmti binary annotations dune
-   emits. Loads every compilation unit under the given roots with
-   [Cmt_format.read_cmt], builds a cross-module table of type
-   declarations (pass 1), then walks each Typedtree with
-   [Tast_iterator] enforcing R1-R4, L2, L3 and L5 (pass 2). See the .mli
-   for the rule definitions. *)
+(* The race rules of pftk-analyze: typed analysis over the loaded
+   .cmt/.cmti units.  Builds a cross-module table of type declarations
+   (pass 1), then walks each Typedtree with [Tast_iterator] enforcing
+   R1-R4, L2, L3 and L5 (pass 2). See the .mli for the rule
+   definitions. *)
 
 open Typedtree
 module F = Pftk_findings
@@ -32,16 +31,8 @@ type state = {
   decls : (string, decl_info) Hashtbl.t;  (* canonical dotted name -> decl *)
   exported : (string, (string, unit) Hashtbl.t) Hashtbl.t;
       (* canonical unit -> toplevel value names in its interface *)
-  mutable findings : F.finding list;
-  allows : F.Allow.t;  (* active [@lint.allow] rules *)
+  sink : F.sink;
 }
-
-let push st attrs = F.Allow.push st.allows attrs
-let pop st rules = F.Allow.pop st.allows rules
-
-let report st ~file (loc : Location.t) rule message =
-  if not (F.Allow.active st.allows rule) then
-    st.findings <- F.finding_of_loc ~file loc rule message :: st.findings
 
 (* --- Transitive mutability ------------------------------------------------- *)
 
@@ -130,44 +121,10 @@ let info_of_decl unit (td : Types.type_declaration) =
   in
   { d_unit = unit; d_mutable = m; d_components = comps }
 
-let add_decl st unit prefix (td : Typedtree.type_declaration) =
-  let key = String.concat "." ((unit :: prefix) @ [ Ident.name td.typ_id ]) in
+(* Keyed by the declaration's dotted path, unit first. *)
+let add_decl st unit ~scope (td : Typedtree.type_declaration) =
+  let key = String.concat "." (scope @ [ Ident.name td.typ_id ]) in
   Hashtbl.replace st.decls key (info_of_decl unit td.typ_type)
-
-let rec decls_of_structure st unit prefix (str : structure) =
-  List.iter
-    (fun (item : structure_item) ->
-      match item.str_desc with
-      | Tstr_type (_, tds) -> List.iter (add_decl st unit prefix) tds
-      | Tstr_module mb -> decls_of_module_binding st unit prefix mb
-      | Tstr_recmodule mbs ->
-          List.iter (decls_of_module_binding st unit prefix) mbs
-      | _ -> ())
-    str.str_items
-
-and decls_of_module_binding st unit prefix mb =
-  match mb.mb_name.Location.txt with
-  | None -> ()
-  | Some name -> decls_of_module_expr st unit (prefix @ [ name ]) mb.mb_expr
-
-and decls_of_module_expr st unit prefix me =
-  match me.mod_desc with
-  | Tmod_structure s -> decls_of_structure st unit prefix s
-  | Tmod_constraint (me, _, _, _) -> decls_of_module_expr st unit prefix me
-  | _ -> ()
-
-let rec decls_of_signature st unit prefix (sg : signature) =
-  List.iter
-    (fun (item : signature_item) ->
-      match item.sig_desc with
-      | Tsig_type (_, tds) -> List.iter (add_decl st unit prefix) tds
-      | Tsig_module md -> (
-          match (md.md_name.Location.txt, md.md_type.mty_desc) with
-          | Some name, Tmty_signature s ->
-              decls_of_signature st unit (prefix @ [ name ]) s
-          | _ -> ())
-      | _ -> ())
-    sg.sig_items
 
 let record_exports st unit (sg : signature) =
   let set = Hashtbl.create 16 in
@@ -278,11 +235,6 @@ let is_poly_compare_use path (vd : Types.value_description) =
 
 let watched_names = [ "p"; "rtt"; "t0" ]
 
-let is_float ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, [], _) -> String.equal (Path.name p) "float"
-  | _ -> false
-
 (* Every [Pident] mentioned anywhere in [e]. *)
 let idents_of e =
   let acc : (string, unit) Hashtbl.t = Hashtbl.create 8 in
@@ -312,19 +264,6 @@ let rec is_raising e =
   | Texp_let (_, _, body) -> is_raising body
   | _ -> false
 
-let is_guard_call e =
-  match e.exp_desc with
-  | Texp_apply (fn, _) -> (
-      match fn.exp_desc with
-      | Texp_ident (p, _, _) -> (
-          match List.rev (split_canonical (Path.name p)) with
-          | last :: _ ->
-              String.equal last "validate"
-              || String.length last >= 5 && String.sub last 0 5 = "check"
-          | [] -> false)
-      | _ -> false)
-  | _ -> false
-
 (* Shallow, function-local guard detection.  One walk follows the
    binding's spine — nested single-case [fun] levels (collecting watched
    float parameters named [p]/[rtt]/[t0], including those behind
@@ -352,7 +291,7 @@ let r4_binding st ~file name loc expr =
   in
   let note e =
     let guards =
-      is_guard_call e
+      F.is_guard_call e
       ||
       match e.exp_desc with
       | Texp_ifthenelse (_, th, el) ->
@@ -371,7 +310,7 @@ let r4_binding st ~file name loc expr =
         (match c.c_lhs.pat_desc with
         | Tpat_var (id, _)
           when List.mem (Ident.name id) watched_names
-               && is_float c.c_lhs.pat_type ->
+               && F.is_float c.c_lhs.pat_type ->
             watched := !watched @ [ id ]
         | _ -> ());
         walk c.c_rhs
@@ -402,7 +341,7 @@ let r4_binding st ~file name loc expr =
   List.iter
     (fun id ->
       if not (Hashtbl.mem guarded (Ident.unique_name id)) then
-        report st ~file loc "R4"
+        F.report st.sink ~file loc "R4"
           (Printf.sprintf
              "entry point '%s' does not domain-check parameter '%s' before \
               first use (expected a check_p/validate call or an invalid_arg \
@@ -410,77 +349,40 @@ let r4_binding st ~file name loc expr =
              name (Ident.name id)))
     !watched
 
-(* The validated-input naming convention: a binding whose name ends in
-   [_unchecked] declares "my caller has already domain-checked these
-   inputs" — the batch kernels hoist the scan out of their inner loops
-   and then call these.  R4 exempts them by name; everything else keeps
-   its guard.  The contract is enforced elsewhere (selfcheck C11 proves
-   batch ≡ guarded scalar bit-for-bit on scanned columns). *)
-let is_unchecked name =
-  let suffix = "_unchecked" in
-  let n = String.length name and s = String.length suffix in
-  n >= s && String.equal (String.sub name (n - s) s) suffix
-
 (* Toplevel bindings are filtered against the unit's interface; bindings
    in nested modules (e.g. Tfrc.Controller) are all analyzed — the
    interface filter does not reach through module signatures, and a
-   spurious hit on an internal helper costs one cheap guard. *)
-let rec r4_structure st ~file ~top is_exported (str : structure) =
-  List.iter
-    (fun (item : structure_item) ->
-      match item.str_desc with
-      | Tstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              match vb.vb_pat.pat_desc with
-              | Tpat_var (id, _)
-                when (not (is_unchecked (Ident.name id)))
-                     && ((not top) || is_exported (Ident.name id)) ->
-                  let rs = push st vb.vb_attributes in
-                  r4_binding st ~file (Ident.name id) vb.vb_pat.pat_loc
-                    vb.vb_expr;
-                  pop st rs
-              | _ -> ())
-            vbs
-      | Tstr_module mb -> r4_module_binding st ~file is_exported mb
-      | Tstr_recmodule mbs ->
-          List.iter (r4_module_binding st ~file is_exported) mbs
+   spurious hit on an internal helper costs one cheap guard.  A binding
+   whose name ends in [_unchecked] declares "my caller has already
+   domain-checked these inputs" — the batch kernels hoist the scan out
+   of their inner loops and then call these.  R4 exempts them by name;
+   everything else keeps its guard.  The contract is enforced elsewhere
+   (F1 at the call sites, selfcheck C11 bit-for-bit on scanned
+   columns). *)
+let r4_structure st ~file is_exported (str : structure) =
+  F.iter_structure ~scope:[] str ~value:(fun ~scope vb ->
+      match vb.vb_pat.pat_desc with
+      | Tpat_var (id, _)
+        when (not (F.is_unchecked (Ident.name id)))
+             && (scope <> [] || is_exported (Ident.name id)) ->
+          let rs = F.push st.sink vb.vb_attributes in
+          r4_binding st ~file (Ident.name id) vb.vb_pat.pat_loc vb.vb_expr;
+          F.pop st.sink rs
       | _ -> ())
-    str.str_items
-
-and r4_module_binding st ~file is_exported mb =
-  match r4_module_structure mb.mb_expr with
-  | Some s -> r4_structure st ~file ~top:false is_exported s
-  | None -> ()
-
-and r4_module_structure me =
-  match me.mod_desc with
-  | Tmod_structure s -> Some s
-  | Tmod_constraint (me, _, _, _) -> r4_module_structure me
-  | _ -> None
 
 (* --- R2: exported mutable values ------------------------------------------- *)
 
-let rec r2_signature st ~file ~unit (sg : signature) =
-  List.iter
-    (fun (item : signature_item) ->
-      match item.sig_desc with
-      | Tsig_value vd ->
-          let rs = push st vd.val_attributes in
-          let ty = vd.val_val.Types.val_type in
-          if type_mutable st ~unit [] ty then
-            report st ~file vd.val_loc "R2"
-              (Printf.sprintf
-                 "interface exports toplevel mutable value '%s' : %s \
-                  (cross-module shared state escapes the R1 capture check)"
-                 (Ident.name vd.val_id) (type_to_string ty));
-          pop st rs
-      | Tsig_module md -> (
-          match md.md_type.mty_desc with
-          | Tmty_signature s -> r2_signature st ~file ~unit s
-          | _ -> ())
-      | _ -> ())
-    sg.sig_items
+let r2_signature st ~file ~unit (sg : signature) =
+  F.iter_signature ~scope:[] sg ~value:(fun ~scope:_ vd ->
+      let rs = F.push st.sink vd.val_attributes in
+      let ty = vd.val_val.Types.val_type in
+      if type_mutable st ~unit [] ty then
+        F.report st.sink ~file vd.val_loc "R2"
+          (Printf.sprintf
+             "interface exports toplevel mutable value '%s' : %s \
+              (cross-module shared state escapes the R1 capture check)"
+             (Ident.name vd.val_id) (type_to_string ty));
+      F.pop st.sink rs)
 
 (* --- L2, L3, L5: determinism, init-time state and partiality in lib/ ------- *)
 
@@ -550,12 +452,12 @@ let analyze_structure st ~file ~unit ~core_stats ~lib (str : structure) =
   let init_time = ref false in
   let item_it it (item : structure_item) =
     let init_item attrs =
-      let rs = push st attrs in
+      let rs = F.push st.sink attrs in
       let saved = !init_time in
       init_time := lib;
       super.structure_item it item;
       init_time := saved;
-      pop st rs
+      F.pop st.sink rs
     in
     match item.str_desc with
     | Tstr_value _ -> init_item []
@@ -563,28 +465,28 @@ let analyze_structure st ~file ~unit ~core_stats ~lib (str : structure) =
     | _ -> super.structure_item it item
   in
   let vb_it it vb =
-    let rs = push st vb.vb_attributes in
+    let rs = F.push st.sink vb.vb_attributes in
     super.value_binding it vb;
-    pop st rs
+    F.pop st.sink rs
   in
   let check_closure callee (a : expression) =
     match a.exp_desc with
     | Texp_function _ ->
-        let rs = F.Allow.push_expr st.allows a in
+        let rs = F.push_expr st.sink a in
         List.iter
           (fun (id, (use : expression)) ->
-            report st ~file use.exp_loc "R1"
+            F.report st.sink ~file use.exp_loc "R1"
               (Printf.sprintf
                  "closure passed to %s captures mutable '%s' : %s (shared \
                   state races across domains; pass it as data or restructure)"
                  callee (Ident.name id)
                  (type_to_string use.exp_type)))
           (mutable_captures st ~unit a);
-        pop st rs
+        F.pop st.sink rs
     | _ -> ()
   in
   let expr_it it (e : expression) =
-    let rs = F.Allow.push_expr st.allows e in
+    let rs = F.push_expr st.sink e in
     (match e.exp_desc with
     | Texp_apply (fn, args) -> (
         match trigger_of_callee fn with
@@ -595,7 +497,7 @@ let analyze_structure st ~file ~unit ~core_stats ~lib (str : structure) =
               args
         | None -> ())
     | Texp_ident (p, _, vd) when core_stats && is_poly_compare_use p vd ->
-        report st ~file e.exp_loc "R3"
+        F.report st.sink ~file e.exp_loc "R3"
           (Printf.sprintf
              "polymorphic comparison '%s' : %s in model code (use \
               Float.equal/Float.compare or another typed comparator)"
@@ -603,12 +505,12 @@ let analyze_structure st ~file ~unit ~core_stats ~lib (str : structure) =
              (type_to_string vd.Types.val_type))
     | Texp_ident (p, _, _) when lib -> (
         match lib_ident_rule p with
-        | Some (rule, message) -> report st ~file e.exp_loc rule message
+        | Some (rule, message) -> F.report st.sink ~file e.exp_loc rule message
         | None -> ())
     | _ -> ());
     (if !init_time then
        match init_time_state e with
-       | Some message -> report st ~file e.exp_loc "L3" message
+       | Some message -> F.report st.sink ~file e.exp_loc "L3" message
        | None -> ());
     (match e.exp_desc with
     | Texp_function _ when !init_time ->
@@ -617,7 +519,7 @@ let analyze_structure st ~file ~unit ~core_stats ~lib (str : structure) =
         super.expr it e;
         init_time := true
     | _ -> super.expr it e);
-    pop st rs
+    F.pop st.sink rs
   in
   let it =
     {
@@ -629,24 +531,20 @@ let analyze_structure st ~file ~unit ~core_stats ~lib (str : structure) =
   in
   it.structure it str
 
-(* --- Loading --------------------------------------------------------------- *)
+(* --- Entry point ----------------------------------------------------------- *)
 
-let analyze_paths paths =
+let analyze units =
   let st =
-    {
-      decls = Hashtbl.create 512;
-      exported = Hashtbl.create 64;
-      findings = [];
-      allows = F.Allow.create ();
-    }
+    { decls = Hashtbl.create 512; exported = Hashtbl.create 64; sink = F.sink () }
   in
-  let units = F.Cmt.load_all paths in
   List.iter
     (fun (u : F.Cmt.unit_info) ->
+      let scope = [ u.u_name ] in
       match u.u_annots with
-      | Cmt_format.Implementation str -> decls_of_structure st u.u_name [] str
+      | Cmt_format.Implementation str ->
+          F.iter_structure ~scope ~types:(add_decl st u.u_name) str
       | Cmt_format.Interface sg ->
-          decls_of_signature st u.u_name [] sg;
+          F.iter_signature ~scope ~types:(add_decl st u.u_name) sg;
           record_exports st u.u_name sg
       | _ -> ())
     units;
@@ -666,10 +564,10 @@ let analyze_paths paths =
               | Some set -> fun n -> Hashtbl.mem set n
               | None -> fun _ -> true
             in
-            r4_structure st ~file ~top:true is_exported str
+            r4_structure st ~file is_exported str
           end
       | Cmt_format.Interface sg ->
           if F.under ~root:"lib" file then r2_signature st ~file ~unit:u.u_name sg
       | _ -> ())
     units;
-  List.sort_uniq F.compare_findings st.findings
+  F.findings st.sink

@@ -1,8 +1,7 @@
-(** Typed, cross-module analysis over the [.cmt]/[.cmti] files dune
-    emits ([dune build @check] produces them as a side effect of every
-    build). The engine loads [Cmt_format] binary annotations and walks
-    the Typedtree, so it sees through aliases, inferred types and module
-    boundaries:
+(** The race rules of pftk-analyze: typed, cross-module analysis over
+    the loaded [.cmt]/[.cmti] units ([dune build @check] produces them
+    as a side effect of every build). The engine walks the Typedtree, so
+    it sees through aliases, inferred types and module boundaries:
 
     - [R1] a closure passed to [Pftk_parallel.map]/[mapi]/[init] or
       [Pool.submit] must not capture a free identifier whose type
@@ -49,13 +48,9 @@
     expressions (constrained ones included), value bindings and (for
     R2) interface declarations.
 
-    The analyzer keeps run-wide state (the cross-module type-declaration
-    table); it is not thread-safe. *)
+    Each run builds its own cross-module type-declaration table. *)
 
-val analyze_paths : string list -> Pftk_findings.finding list
-(** [analyze_paths paths] loads every [.cmt]/[.cmti] found under the
-    given paths (directories are walked recursively, including the
-    dot-directories dune hides object files in; plain file paths are
-    taken as-is), builds the cross-module type-declaration table, then
-    runs R1-R4, L2, L3 and L5. Findings are sorted by file, then
-    position, and deduplicated. *)
+val analyze : Pftk_findings.Cmt.unit_info list -> Pftk_findings.finding list
+(** [analyze units] builds the cross-module type-declaration table of
+    the units, then runs R1-R4, L2, L3 and L5. Findings are sorted by
+    file, then position, and deduplicated. *)

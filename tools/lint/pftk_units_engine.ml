@@ -1,7 +1,8 @@
-(* pftk-units: dimensional analysis over the .cmt files dune emits.
-   Pass A reads every interface, collecting [@pftk.unit] declarations
-   (and checking U3 in the lib/core+batch+online zone); pass B registers
-   every toplevel binding like pftk-flow does; a quiet fixpoint then
+(* The units rules of pftk-analyze: dimensional analysis over the
+   loaded .cmt units.  Pass A reads every interface, collecting
+   [@pftk.unit] declarations (and checking U3 in the
+   lib/core+batch+online+meanfield zone); pass B registers every
+   toplevel binding like the flow rules do; a quiet fixpoint then
    infers result units for unannotated functions (aliases copy their
    callee's signature, bodies that evaluate to a known unit export it);
    finally each body is abstract-interpreted once in loud mode,
@@ -220,26 +221,6 @@ let path_parts p =
       List.concat_map split_canonical (List.rev rev_modules) @ [ last ]
   | [] -> []
 
-(* --- Type helpers (as in pftk-flow) ----------------------------------------- *)
-
-let rec mentions_float ty =
-  match Types.get_desc ty with
-  | Types.Tarrow (_, a, b, _) -> mentions_float a || mentions_float b
-  | Types.Ttuple tys -> List.exists mentions_float tys
-  | Types.Tpoly (t, _) -> mentions_float t
-  | Types.Tconstr (p, args, _) ->
-      (match String.concat "." (strip_stdlib (split_canonical (Path.name p)))
-       with
-      | "float" | "floatarray" | "Float.Array.t" -> true
-      | _ -> false)
-      || List.exists mentions_float args
-  | _ -> false
-
-let is_float ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, [], _) -> String.equal (Path.name p) "float"
-  | _ -> false
-
 let rec arrow_comps ty =
   match Types.get_desc ty with
   | Types.Tarrow (_, a, b, _) -> a :: arrow_comps b
@@ -248,23 +229,12 @@ let rec arrow_comps ty =
 
 (* --- The [@pftk.unit] attribute --------------------------------------------- *)
 
+(* Any other payload reads as "", which the parser rejects. *)
 let unit_attr attrs =
   List.find_map
     (fun (a : Parsetree.attribute) ->
       if String.equal a.attr_name.Location.txt "pftk.unit" then
-        match a.attr_payload with
-        | Parsetree.PStr
-            [
-              {
-                pstr_desc =
-                  Pstr_eval
-                    ( { pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ },
-                      _ );
-                _;
-              };
-            ] ->
-            Some (s, a.attr_loc)
-        | _ -> Some ("", a.attr_loc)
+        Some (Option.value ~default:"" (F.string_payload a), a.attr_loc)
       else None)
     attrs
 
@@ -285,42 +255,16 @@ type state = {
   mutable order : fn_info list;  (* registration order, for the fixpoint *)
   decls : (string, comp list) Hashtbl.t;  (* interface annotations *)
   fields : (string, comp) Hashtbl.t;  (* "Type.path.label" -> unit *)
-  mutable findings : F.finding list;
-  allows : F.Allow.t;
-  mutable loud : bool;  (* false during the inference fixpoint *)
+  sink : F.sink;  (* quiet during the inference fixpoint *)
 }
-
-let push st attrs = F.Allow.push st.allows attrs
-let pop st rules = F.Allow.pop st.allows rules
-
-let report st ~file (loc : Location.t) rule message =
-  if st.loud && not (F.Allow.active st.allows rule) then
-    st.findings <- F.finding_of_loc ~file loc rule message :: st.findings
 
 let u3_roots = [ "lib/core"; "lib/batch"; "lib/online"; "lib/meanfield" ]
 let in_u3_zone file = List.exists (fun root -> F.under ~root file) u3_roots
 
-(* Scoped lookup, as in pftk-flow's [resolve]: try the name qualified by
-   progressively shorter prefixes of the referencing scope, longest
-   first, so sibling references and wrapper-qualified cross-module paths
-   land on the same keys. *)
-let candidates ~scope base =
-  let drop_last l = List.rev (List.tl (List.rev l)) in
-  let rec go scope acc =
-    let acc = String.concat "." (scope @ [ base ]) :: acc in
-    match scope with [] -> acc | _ -> go (drop_last scope) acc
-  in
-  List.rev (go scope [])
-
-let path_base p =
-  match p with
-  | Path.Pident id -> Ident.name id
-  | _ -> F.canonical (Path.name p)
-
 (* A callee's unit signature: a registered binding's (declared or
    inferred), else a bare interface declaration. *)
 let lookup_sig st ~scope p =
-  let keys = candidates ~scope (path_base p) in
+  let keys = F.scoped_names ~scope (F.path_key p) in
   match
     List.find_map
       (fun k ->
@@ -341,7 +285,7 @@ let field_comp st ~scope (lbl : Types.label_description) =
   match Types.get_desc lbl.Types.lbl_res with
   | Types.Tconstr (p, _, _) ->
       let base = F.canonical (Path.name p) ^ "." ^ lbl.Types.lbl_name in
-      List.find_map (Hashtbl.find_opt st.fields) (candidates ~scope base)
+      List.find_map (Hashtbl.find_opt st.fields) (F.scoped_names ~scope base)
   | _ -> None
 
 (* --- Operator classification ------------------------------------------------- *)
@@ -419,11 +363,11 @@ let rec split_last = function
 
 (* --- Abstract interpretation -------------------------------------------------
    [infer] returns the abstract value of an expression, emitting U1/U2
-   findings along the way when [st.loud].  Every sub-expression is
-   walked exactly once per pass. *)
+   findings along the way (outside the quiet fixpoint).  Every
+   sub-expression is walked exactly once per pass. *)
 
 let rec infer st env fn e =
-  let rs = F.Allow.push_expr st.allows e in
+  let rs = F.push_expr st.sink e in
   let v = infer_desc st env fn e in
   (* An expression-level [@pftk.unit "..."] is a cast: it overrides
      whatever the inference concluded, no questions asked. *)
@@ -432,10 +376,10 @@ let rec infer st env fn e =
     | Some (s, loc) -> (
         match unit_of_string s with
         | Ok u -> known u
-        | Error m -> report st ~file:fn.fn_file loc "parse" m; v)
+        | Error m -> F.report st.sink ~file:fn.fn_file loc "parse" m; v)
     | None -> v
   in
-  pop st rs;
+  F.pop st.sink rs;
   v
 
 and infer_desc st env fn e =
@@ -530,7 +474,7 @@ and ident_av st env fn p =
           | _ -> Unknown))
 
 and bind_vb st env fn vb =
-  let rs = push st vb.vb_attributes in
+  let rs = F.push st.sink vb.vb_attributes in
   let v = infer st env fn vb.vb_expr in
   (* A single-component [@pftk.unit] on a local binding is a cast;
      arrow annotations belong to toplevel bindings (registration). *)
@@ -540,17 +484,17 @@ and bind_vb st env fn vb =
         match sig_of_string s with
         | Ok [ c ] -> comp_av c
         | Ok _ -> v
-        | Error m -> report st ~file:fn.fn_file loc "parse" m; v)
+        | Error m -> F.report st.sink ~file:fn.fn_file loc "parse" m; v)
     | None -> v
   in
   let bound = bind_pat env vb.vb_pat v [] in
-  pop st rs;
+  F.pop st.sink rs;
   bound
 
 and check_same st fn loc what va vb =
   match (va, vb) with
   | Known x, Known y when x <> y ->
-      report st ~file:fn.fn_file loc "U1"
+      F.report st.sink ~file:fn.fn_file loc "U1"
         (Printf.sprintf "%s mixes units %s and %s" what (u_to_string x)
            (u_to_string y))
   | _ -> ()
@@ -558,7 +502,7 @@ and check_same st fn loc what va vb =
 and dimless_arg st fn loc what va =
   match va with
   | Known x ->
-      report st ~file:fn.fn_file loc "U1"
+      F.report st.sink ~file:fn.fn_file loc "U1"
         (Printf.sprintf "argument of %s must be dimensionless, got %s" what
            (u_to_string x))
   | _ -> ()
@@ -566,11 +510,11 @@ and dimless_arg st fn loc what va =
 and check_field st fn loc (lbl : Types.label_description) va =
   match (field_comp st ~scope:fn.fn_scope lbl, va) with
   | Some (U x), Known y when x <> y ->
-      report st ~file:fn.fn_file loc "U2"
+      F.report st.sink ~file:fn.fn_file loc "U2"
         (Printf.sprintf "field '%s' declares unit %s but the value has unit %s"
            lbl.Types.lbl_name (u_to_string x) (u_to_string y))
   | Some Dimless, Known y ->
-      report st ~file:fn.fn_file loc "U2"
+      F.report st.sink ~file:fn.fn_file loc "U2"
         (Printf.sprintf
            "field '%s' is declared dimensionless but the value has unit %s"
            lbl.Types.lbl_name (u_to_string y))
@@ -588,7 +532,7 @@ and apply st env fn e callee args =
       let label = Printf.sprintf "'%s'" (String.concat "." name) in
       let float_args =
         match args with
-        | (_, Some a) :: _ -> is_float a.exp_type
+        | (_, Some a) :: _ -> F.is_float a.exp_type
         | _ -> false
       in
       match (classify name, args) with
@@ -627,7 +571,7 @@ and apply st env fn e callee args =
           let vv = infer st env fn v in
           (match (va, vv) with
           | Known x, Known y when x <> y ->
-              report st ~file:fn.fn_file v.exp_loc "U2"
+              F.report st.sink ~file:fn.fn_file v.exp_loc "U2"
                 (Printf.sprintf
                    "store into a %s array disagrees with the element unit: \
                     value has unit %s"
@@ -662,12 +606,12 @@ and apply st env fn e callee args =
 and check_arg st fn loc cname idx comp va =
   match (comp, va) with
   | U x, Known y when x <> y ->
-      report st ~file:fn.fn_file loc "U2"
+      F.report st.sink ~file:fn.fn_file loc "U2"
         (Printf.sprintf
            "argument %d of '%s' has unit %s but the declaration says %s" idx
            cname (u_to_string y) (u_to_string x))
   | Dimless, Known y ->
-      report st ~file:fn.fn_file loc "U2"
+      F.report st.sink ~file:fn.fn_file loc "U2"
         (Printf.sprintf
            "argument %d of '%s' has unit %s but the declaration says it is \
             dimensionless"
@@ -706,7 +650,7 @@ let register_fields st ~file ~scope ~iface (decl : type_declaration) =
           (* The attribute may attach to the label or to its core type
              (`x : float [@pftk.unit "s"];` parses either way). *)
           let attrs = ld.ld_attributes @ ld.ld_type.ctyp_attributes in
-          let rs = push st attrs in
+          let rs = F.push st.sink attrs in
           let key =
             String.concat "." (scope @ [ decl.typ_name.txt; ld.ld_name.txt ])
           in
@@ -714,17 +658,17 @@ let register_fields st ~file ~scope ~iface (decl : type_declaration) =
           | Some (s, loc) -> (
               match comp_of_string s with
               | Ok c -> Hashtbl.replace st.fields key c
-              | Error m -> report st ~file loc "parse" m)
+              | Error m -> F.report st.sink ~file loc "parse" m)
           | None ->
-              if iface && in_u3_zone file && mentions_float ld.ld_type.ctyp_type
+              if iface && in_u3_zone file && F.mentions_float ld.ld_type.ctyp_type
               then
-                report st ~file ld.ld_loc "U3"
+                F.report st.sink ~file ld.ld_loc "U3"
                   (Printf.sprintf
                      "float field '%s' of '%s' has no [@pftk.unit] annotation \
                       (\"1\" states dimensionless explicitly)"
                      ld.ld_name.txt
                      (String.concat "." (scope @ [ decl.typ_name.txt ]))));
-          pop st rs)
+          F.pop st.sink rs)
         lds
   | _ -> ()
 
@@ -737,7 +681,7 @@ let register_binding st ~file ~scope vb =
         | Some (s, loc) -> (
             match sig_of_string s with
             | Ok comps -> (Some comps, true)
-            | Error m -> report st ~file loc "parse" m; (None, false))
+            | Error m -> F.report st.sink ~file loc "parse" m; (None, false))
         | None -> (
             match Hashtbl.find_opt st.decls name with
             | Some comps -> (Some comps, true)
@@ -758,76 +702,38 @@ let register_binding st ~file ~scope vb =
       st.order <- fn :: st.order
   | _ -> ()
 
-let rec module_structure me =
-  match me.mod_desc with
-  | Tmod_structure s -> Some s
-  | Tmod_constraint (me, _, _, _) -> module_structure me
-  | _ -> None
-
-let rec register_structure st ~file ~scope (str : structure) =
-  List.iter
-    (fun (item : structure_item) ->
-      match item.str_desc with
-      | Tstr_value (_, vbs) -> List.iter (register_binding st ~file ~scope) vbs
-      | Tstr_type (_, decls) ->
-          List.iter (register_fields st ~file ~scope ~iface:false) decls
-      | Tstr_module mb -> register_module st ~file ~scope mb
-      | Tstr_recmodule mbs -> List.iter (register_module st ~file ~scope) mbs
-      | _ -> ())
-    str.str_items
-
-and register_module st ~file ~scope mb =
-  match (mb.mb_name.Location.txt, module_structure mb.mb_expr) with
-  | Some name, Some s -> register_structure st ~file ~scope:(scope @ [ name ]) s
-  | _ -> ()
-
 (* --- Interface pass (declarations + U3) --------------------------------------- *)
 
-let rec interface st ~file ~scope (sg : signature) =
-  List.iter
-    (fun (item : signature_item) ->
-      match item.sig_desc with
-      | Tsig_value vd ->
-          let rs = push st vd.val_attributes in
-          let name = String.concat "." (scope @ [ Ident.name vd.val_id ]) in
-          (match unit_attr vd.val_attributes with
-          | Some (s, loc) -> (
-              match sig_of_string s with
-              | Ok comps ->
-                  let n = List.length (arrow_comps vd.val_val.Types.val_type) in
-                  if List.length comps <> n then
-                    report st ~file loc "parse"
-                      (Printf.sprintf
-                         "[@pftk.unit] on '%s' has %d components but the type \
-                          has %d"
-                         (Ident.name vd.val_id) (List.length comps) n)
-                  else Hashtbl.replace st.decls name comps
-              | Error m -> report st ~file loc "parse" m)
-          | None ->
-              if in_u3_zone file && mentions_float vd.val_val.Types.val_type
-              then
-                report st ~file vd.val_loc "U3"
-                  (Printf.sprintf
-                     "exported float signature item '%s' has no [@pftk.unit] \
-                      annotation (\"_\" and \"1\" state unit-free and \
-                      dimensionless components explicitly)"
-                     name));
-          pop st rs
-      | Tsig_type (_, decls) ->
-          List.iter (register_fields st ~file ~scope ~iface:true) decls
-      | Tsig_module md -> (
-          match (md.md_name.Location.txt, md.md_type.mty_desc) with
-          | Some name, Tmty_signature s ->
-              interface st ~file ~scope:(scope @ [ name ]) s
-          | _ -> ())
-      | _ -> ())
-    sg.sig_items
+let declare st ~file ~scope vd =
+  let rs = F.push st.sink vd.val_attributes in
+  let name = String.concat "." (scope @ [ Ident.name vd.val_id ]) in
+  (match unit_attr vd.val_attributes with
+  | Some (s, loc) -> (
+      match sig_of_string s with
+      | Ok comps ->
+          let n = List.length (arrow_comps vd.val_val.Types.val_type) in
+          if List.length comps <> n then
+            F.report st.sink ~file loc "parse"
+              (Printf.sprintf
+                 "[@pftk.unit] on '%s' has %d components but the type has %d"
+                 (Ident.name vd.val_id) (List.length comps) n)
+          else Hashtbl.replace st.decls name comps
+      | Error m -> F.report st.sink ~file loc "parse" m)
+  | None ->
+      if in_u3_zone file && F.mentions_float vd.val_val.Types.val_type then
+        F.report st.sink ~file vd.val_loc "U3"
+          (Printf.sprintf
+             "exported float signature item '%s' has no [@pftk.unit] \
+              annotation (\"_\" and \"1\" state unit-free and dimensionless \
+              components explicitly)"
+             name));
+  F.pop st.sink rs
 
 (* --- Inference fixpoint (quiet) ------------------------------------------------
    Gives unannotated functions a signature the checking pass and call
    sites can use: an alias copies its callee's signature wholesale; a
    body that abstract-evaluates to a known unit exports [_ -> ... -> u].
-   Quiet: [st.loud] is off, so these walks emit nothing. *)
+   Quiet: the sink drops what these walks report. *)
 
 let rec spine_arity e =
   match e.exp_desc with
@@ -868,7 +774,7 @@ let infer_results st fns =
 (* --- Checking pass (loud) ------------------------------------------------------ *)
 
 let check_fn st fn =
-  let rs = push st fn.fn_attrs in
+  let rs = F.push st.sink fn.fn_attrs in
   let env = Hashtbl.create 16 in
   (match fn.fn_sig with
   | Some comps -> (
@@ -877,51 +783,53 @@ let check_fn st fn =
       if fn.fn_declared then
         match (res, v) with
         | U x, Known y when x <> y ->
-            report st ~file:fn.fn_file fn.fn_expr.exp_loc "U4"
+            F.report st.sink ~file:fn.fn_file fn.fn_expr.exp_loc "U4"
               (Printf.sprintf
                  "'%s' declares result unit %s but its body has unit %s"
                  fn.fn_name (u_to_string x) (u_to_string y))
         | Dimless, Known y ->
-            report st ~file:fn.fn_file fn.fn_expr.exp_loc "U4"
+            F.report st.sink ~file:fn.fn_file fn.fn_expr.exp_loc "U4"
               (Printf.sprintf
                  "'%s' declares a dimensionless result but its body has unit \
                   %s"
                  fn.fn_name (u_to_string y))
         | _ -> ())
   | None -> ignore (infer st env fn fn.fn_expr));
-  pop st rs
+  F.pop st.sink rs
 
 (* --- Driver -------------------------------------------------------------------- *)
 
-let analyze_paths paths =
+let analyze units =
   let st =
     {
       fns = Hashtbl.create 512;
       order = [];
       decls = Hashtbl.create 256;
       fields = Hashtbl.create 64;
-      findings = [];
-      allows = F.Allow.create ();
-      loud = true;
+      sink = F.sink ();
     }
   in
-  let units = F.Cmt.load_all paths in
   List.iter
     (fun (u : F.Cmt.unit_info) ->
+      let file = u.u_src in
       match u.u_annots with
-      | Cmt_format.Interface sg -> interface st ~file:u.u_src ~scope:[ u.u_name ] sg
+      | Cmt_format.Interface sg ->
+          F.iter_signature ~scope:[ u.u_name ] ~value:(declare st ~file)
+            ~types:(register_fields st ~file ~iface:true)
+            sg
       | _ -> ())
     units;
   List.iter
     (fun (u : F.Cmt.unit_info) ->
+      let file = u.u_src in
       match u.u_annots with
       | Cmt_format.Implementation str ->
-          register_structure st ~file:u.u_src ~scope:[ u.u_name ] str
+          F.iter_structure ~scope:[ u.u_name ] ~value:(register_binding st ~file)
+            ~types:(register_fields st ~file ~iface:false)
+            str
       | _ -> ())
     units;
   let fns = List.rev st.order in
-  st.loud <- false;
-  infer_results st fns;
-  st.loud <- true;
+  F.quietly st.sink (fun () -> infer_results st fns);
   List.iter (check_fn st) fns;
-  List.sort_uniq F.compare_findings st.findings
+  F.findings st.sink

@@ -1,5 +1,5 @@
-(** pftk-units: typed dimensional analysis over the [.cmt]/[.cmti] files
-    dune emits.  Every PFTK quantity has a physical dimension — RTT and
+(** The units rules of pftk-analyze: typed dimensional analysis over
+    the loaded [.cmt]/[.cmti] units.  Every PFTK quantity has a physical dimension — RTT and
     T0 in seconds, windows and per-TDP packet counts in packets, send
     rates in packets/second, [p] and Q-hat dimensionless probabilities —
     but in the source they are all bare [float]s.  This engine gives the
@@ -49,9 +49,10 @@
       construction and field/array stores must match declared field
       units.
     - [U3] every exported float-mentioning signature item (values and
-      record fields) in [lib/core], [lib/batch] and [lib/online] must
-      carry a [[@pftk.unit]] annotation — ["1"] (or [_] per component)
-      is an explicit statement, absence is the finding.
+      record fields) in [lib/core], [lib/batch], [lib/online] and
+      [lib/meanfield] must carry a [[@pftk.unit]] annotation — ["1"]
+      (or [_] per component) is an explicit statement, absence is the
+      finding.
     - [U4] a function whose declaration names a result unit must not
       return a body inferred to a {e different} known unit.
 
@@ -65,15 +66,13 @@
     function results; [float_of_int] and record values themselves are
     unit-opaque.  Result units of unannotated functions are inferred
     via a small fixpoint (aliases copy their callee's signature; a body
-    that infers to a known unit exports it), mirroring pftk-flow's
+    that infers to a known unit exports it), mirroring the flow rules'
     call-graph closure.  Toplevel [let () = ...] effects are not
-    walked, as in pftk-flow.
+    walked, as in the flow rules.
 
-    Findings use the shared pftk-findings format and honour the same
-    scoped [[@lint.allow "U1"]] escape hatch on expressions, value
-    bindings, signature items and record labels.
-
-    The analyzer keeps run-wide state; it is not thread-safe. *)
+    Findings honour the same scoped [[@lint.allow "U1"]] escape hatch as
+    the other rules, on expressions, value bindings, signature items and
+    record labels.  Each run builds its own tables. *)
 
 val parse_unit : string -> (string, string) result
 (** Parse a unit expression and return its normalized rendering
@@ -84,14 +83,10 @@ val parse_sig : string -> (string, string) result
 (** Parse a full arrow annotation (["s -> _ -> pkt/s"]) and return its
     normalized rendering.  Exposed for the unit-algebra tests. *)
 
-val u3_roots : string list
-(** The interface zone U3 audits: [lib/core], [lib/batch],
-    [lib/online]. *)
-
-val analyze_paths : string list -> Pftk_findings.finding list
-(** [analyze_paths paths] loads every [.cmt]/[.cmti] under the given
-    paths, collects declared units from the interfaces (checking U3 in
-    the zone), registers every toplevel and nested-module binding,
-    closes alias/result-unit inference over the call graph, then
-    abstract-interprets each body enforcing U1, U2 and U4.  Findings
-    are sorted by file then position, and deduplicated. *)
+val analyze : Pftk_findings.Cmt.unit_info list -> Pftk_findings.finding list
+(** [analyze units] collects declared units from the interfaces
+    (checking U3 in the zone), registers every toplevel and
+    nested-module binding, closes alias/result-unit inference over the
+    call graph, then abstract-interprets each body enforcing U1, U2 and
+    U4.  Findings are sorted by file then position, and
+    deduplicated. *)
